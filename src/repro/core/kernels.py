@@ -60,6 +60,7 @@ import threading
 import numpy as np
 
 from repro.core.prior import Prior, QGGMRFPrior, QuadraticPrior
+from repro.core.supervoxel import member_entries
 from repro.observability import NULL_RECORDER
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -134,6 +135,12 @@ def resolve_kernel(kernel: str | None, prior: Prior) -> str:
     return kernel
 
 
+def _segments(arr: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
+    """Views ``arr[bounds[k]:bounds[k+1]]`` — ``np.split`` without its
+    per-piece ``swapaxes`` (the split points come in as a Python list)."""
+    return [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 class _FastPack:
     """The vectorized kernel's data layout: same values, faster dtypes.
 
@@ -157,13 +164,10 @@ class _FastPack:
     __slots__ = ("fp_views", "wa_views", "a_views", "cols", "_col_sizes", "_width", "_local")
 
     def __init__(self, ctx: "KernelContext") -> None:
-        cuts = ctx.indptr[1:-1]
-        idx64 = ctx.indices.astype(np.int64)
-        wa64 = np.asarray(ctx.wa, dtype=np.float64)
-        a64 = np.asarray(ctx.a_data, dtype=np.float64)
-        self.fp_views = np.split(idx64, cuts)
-        self.wa_views = np.split(wa64, cuts)
-        self.a_views = np.split(a64, cuts)
+        bounds = ctx.indptr.tolist()
+        self.fp_views = _segments(ctx.indices.astype(np.int64), bounds)
+        self.wa_views = _segments(np.asarray(ctx.wa, dtype=np.float64), bounds)
+        self.a_views = _segments(np.asarray(ctx.a_data, dtype=np.float64), bounds)
         self._col_sizes = ctx.col_sizes
         self._width = max(max(ctx.col_sizes, default=0), 1)
         self._local = threading.local()
@@ -216,8 +220,7 @@ class _SVPrep:
 
     def __init__(self, sv) -> None:
         self.sv = sv
-        cuts = sv.member_offsets[1:-1]
-        self.fp_views = np.split(sv.svb_indices, cuts)
+        self.fp_views = _segments(sv.svb_indices, sv.member_offsets.tolist())
         self.fp_lens = np.diff(sv.member_offsets).tolist()
         self.idx_pad = None
         self.wa_pad = None
@@ -232,13 +235,13 @@ class _SVPrep:
             sv = self.sv
             lens = np.diff(sv.member_offsets)
             lmax = max(int(lens.max()) if lens.size else 1, 1)
-            n_members = sv.n_voxels
-            idx_pad = np.zeros((n_members, lmax), dtype=np.int64)
-            wa_pad = np.zeros((n_members, lmax), dtype=np.float64)
-            fast = ctx.fast
-            for m, fp in enumerate(self.fp_views):
-                idx_pad[m, : fp.size] = fp
-                wa_pad[m, : fp.size] = fast.wa_views[int(sv.voxels[m])]
+            # Row m's first lens[m] cells, filled row-major: exactly the
+            # concatenated member footprints, in member order.
+            filled = np.arange(lmax) < lens[:, None]
+            idx_pad = np.zeros(filled.shape, dtype=np.int64)
+            wa_pad = np.zeros(filled.shape, dtype=np.float64)
+            idx_pad[filled] = sv.svb_indices
+            wa_pad[filled] = ctx.wa[member_entries(ctx.indptr, sv.voxels)[0]]
             # wa_pad first: readers treat a non-None idx_pad as "built".
             self.wa_pad = wa_pad
             self.idx_pad = idx_pad
@@ -266,11 +269,11 @@ class KernelContext:
         self.wa = updater.wa
         self.a_data = updater.a_data
         self.theta2 = updater.theta2
-        cuts = self.indptr[1:-1]
+        bounds = self.indptr.tolist()
         #: per-voxel views of the CSC arrays (footprint hoisting).
-        self.fp_views = np.split(self.indices, cuts)
-        self.wa_views = np.split(self.wa, cuts)
-        self.a_views = np.split(self.a_data, cuts)
+        self.fp_views = _segments(self.indices, bounds)
+        self.wa_views = _segments(self.wa, bounds)
+        self.a_views = _segments(self.a_data, bounds)
 
         nb = updater.neighborhood
         n_voxels = nb.indices.shape[0]
@@ -287,7 +290,7 @@ class KernelContext:
         self._fast = None
         #: guards every lazy build below — wave backends call into one
         #: shared context from concurrent pool threads (re-entrant: the
-        #: _FastPack build reads col_sizes, sv_prep builds read fast).
+        #: _FastPack build reads col_sizes).
         self._lock = threading.RLock()
 
         self.positivity = bool(updater.positivity)

@@ -26,6 +26,22 @@ from repro.utils import check_positive
 __all__ = ["SuperVoxel", "SuperVoxelGrid"]
 
 
+def member_entries(indptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the CSC entries of ``columns`` live, concatenated in order.
+
+    Returns ``(positions, offsets)``: ``positions`` indexes the CSC
+    ``indices``/``data`` arrays (column ``columns[m]`` owns
+    ``positions[offsets[m]:offsets[m+1]]``, in storage order) and
+    ``offsets`` (int64, length ``len(columns) + 1``) is its CSR-style split.
+    """
+    starts = indptr[columns]
+    lens = indptr[np.asarray(columns) + 1] - starts
+    offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    positions = np.repeat(starts - offsets[:-1], lens) + np.arange(offsets[-1])
+    return positions, offsets
+
+
 @dataclass
 class SuperVoxel:
     """One SuperVoxel: member voxels plus its SVB addressing tables.
@@ -184,24 +200,19 @@ class SuperVoxelGrid:
 
         n_views = self.geometry.n_views
         n_chan = self.geometry.n_channels
-        indptr = self.system.matrix.indptr
-        all_rows = self.system.matrix.indices
+        positions, offsets = member_entries(self.system.matrix.indptr, voxels)
+        r = self.system.matrix.indices[positions]  # flat sinogram rows
+        v, c = np.divmod(r, n_chan)
 
-        band_lo = np.full(n_views, n_chan, dtype=np.int64)
-        band_hi = np.zeros(n_views, dtype=np.int64)
-        member_rows: list[np.ndarray] = []
-        for j in voxels:
-            r = all_rows[indptr[j] : indptr[j + 1]]
-            member_rows.append(r)
-            v = r // n_chan
-            c = r % n_chan
-            np.minimum.at(band_lo, v, c)
-            np.maximum.at(band_hi, v, c + 1)
-        # Views where no member has entries (possible only for clipped
-        # detectors) get an empty band at channel 0.
-        empty = band_lo > band_hi
-        band_lo[empty] = 0
-        band_hi[empty] = 0
+        # Per view, the band runs from the first to one past the last channel
+        # any member hits.  Views where no member has entries (possible only
+        # for clipped detectors) get an empty band at channel 0.
+        hit = np.zeros(n_views * n_chan, dtype=bool)
+        hit[r] = True
+        hit = hit.reshape(n_views, n_chan)
+        any_hit = hit.any(axis=1)
+        band_lo = np.where(any_hit, hit.argmax(axis=1), 0).astype(np.int64)
+        band_hi = np.where(any_hit, n_chan - hit[:, ::-1].argmax(axis=1), 0).astype(np.int64)
         band_width = band_hi - band_lo
         width = int(band_width.max()) if band_width.size else 0
         width = max(width, 1)
@@ -213,13 +224,7 @@ class SuperVoxelGrid:
         gather_idx = gather.ravel().astype(np.int64)
 
         # Per-member footprint positions within the flat SVB.
-        offsets = np.zeros(len(member_rows) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([r.size for r in member_rows])
-        svb_indices = np.empty(int(offsets[-1]), dtype=np.int64)
-        for m, r in enumerate(member_rows):
-            v = r // n_chan
-            c = r % n_chan
-            svb_indices[offsets[m] : offsets[m + 1]] = v * width + (c - band_lo[v])
+        svb_indices = v * width + (c - band_lo[v])
         return SuperVoxel(
             index=index,
             grid_pos=(bi, bj),

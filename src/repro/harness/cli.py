@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--port", type=int, default=8080,
                             help="bind port; 0 picks a free one (default 8080)")
     serve_http.add_argument("--scan-root", required=True, metavar="DIR",
-                            help="directory against which submitted relative "
-                            "scan paths resolve")
+                            help="directory submitted scan paths resolve "
+                            "against; paths outside it are rejected (400)")
     serve_http.add_argument("--workers", type=int, default=2, metavar="N",
                             help="concurrently running jobs (default 2)")
     serve_http.add_argument("--worker-model", choices=["thread", "process"],

@@ -18,7 +18,9 @@ method    path                    behaviour
 POST      ``/jobs``               submit ``{"driver", "scan", "params",
                                   "priority", "job_id"?}`` → 201 + job id;
                                   429 + ``Retry-After`` when admission control
-                                  rejects (queue full); 400 malformed;
+                                  rejects (queue full); 400 malformed or
+                                  scan path outside ``scan_root``; 413
+                                  body over ``MAX_BODY_BYTES``;
                                   409 duplicate active id; 503 +
                                   ``Retry-After`` closed/closing service.
                                   An optional ``"shards"`` object turns the
@@ -55,7 +57,9 @@ GET       ``/healthz``            liveness + degradation probe: 200 once
 ========  ======================  =============================================
 
 The ``scan`` field names a scan file on the *server* (``repro.io.save_scan``
-format), resolved against the gateway's ``scan_root``; loaded scans are
+format), resolved against the gateway's ``scan_root``.  With a root set, an
+absolute path or one that resolves outside it (``..`` segments, symlinks)
+answers **400** with ``"error_type": "scan_path"``.  Loaded scans are
 cached by (path, mtime) so a load generator submitting hundreds of jobs
 against one scan file does not re-read it per request.  The cache is
 LRU-bounded (``scan_cache_size``) so a gateway fed many distinct scan files
@@ -97,13 +101,30 @@ from repro.service.jobs import (
 from repro.service.queue import AdmissionError, QueueClosedError
 from repro.service.service import ReconstructionService
 
-__all__ = ["HttpGateway"]
+__all__ = ["MAX_BODY_BYTES", "HttpGateway", "ScanPathError"]
 
 _JOB_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9._-]+)$")
 _RESULT_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9._-]+)/result$")
 
 #: Content type of the Prometheus text exposition format.
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Largest request body the gateway reads; a larger ``Content-Length``
+#: answers 413 without reading it.  Submissions are small JSON documents
+#: (scans are named by path, never uploaded).
+MAX_BODY_BYTES = 1 << 20
+
+
+class ScanPathError(ValueError):
+    """A submitted scan path that would leave the gateway's ``scan_root``."""
+
+
+class _BodyError(Exception):
+    """An unreadable request body: carries the status code to answer."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class HttpGateway:
@@ -119,8 +140,10 @@ class HttpGateway:
         :attr:`port` / :attr:`url`).
     scan_root:
         Directory against which relative ``scan`` paths in submissions
-        resolve.  Absolute paths are honoured as-is (the gateway trusts its
-        submitters; it is an internal service, not an internet edge).
+        resolve.  Submissions cannot reach outside it: absolute paths, and
+        paths whose ``..`` segments or symlinks resolve elsewhere, raise
+        :class:`ScanPathError` (answered 400).  ``None`` (embedded use
+        only) takes paths as given.
     retry_after_s:
         Value of the ``Retry-After`` header on 429 responses.
     scan_cache_size:
@@ -230,9 +253,15 @@ class HttpGateway:
     # -- scan resolution -------------------------------------------------
     def _resolve(self, scan: str) -> Path:
         path = Path(scan)
-        if not path.is_absolute() and self.scan_root is not None:
-            path = self.scan_root / path
-        return path
+        if self.scan_root is None:
+            return path
+        if path.is_absolute():
+            raise ScanPathError(f"scan path {scan!r} must be relative to the scan root")
+        root = self.scan_root.resolve()
+        resolved = (root / path).resolve()
+        if not resolved.is_relative_to(root):
+            raise ScanPathError(f"scan path {scan!r} resolves outside the scan root")
+        return resolved
 
     def load_scan(self, scan: str) -> ScanData:
         """The scan named by a submission, via the (path, mtime) cache."""
@@ -288,6 +317,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway/1.0"
     protocol_version = "HTTP/1.1"  # keep-alive: load generators reuse sockets
+    #: TCP_NODELAY: a response goes out as a header write and a body write;
+    #: with Nagle on, the body waits for the client's delayed ACK of the
+    #: headers (~40 ms per keep-alive response).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
@@ -321,7 +354,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": error, **extra}, headers)
 
     def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            raise _BodyError(400, f"bad Content-Length {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
         doc = json.loads(raw.decode() or "{}")
         if not isinstance(doc, dict):
@@ -378,6 +416,10 @@ class _Handler(BaseHTTPRequestHandler):
         gw = self.gateway
         try:
             doc = self._read_json_body()
+        except _BodyError as exc:
+            # The body was left unread, so the connection cannot carry
+            # another request ("Connection: close" also ends the keep-alive).
+            return self._send_error_json(exc.code, str(exc), headers={"Connection": "close"})
         except (ValueError, UnicodeDecodeError) as exc:
             return self._send_error_json(400, f"invalid JSON body: {exc}")
         try:
@@ -398,6 +440,8 @@ class _Handler(BaseHTTPRequestHandler):
                 priority=int(doc.get("priority") or 0),
                 job_id=doc.get("job_id"),
             )
+        except ScanPathError as exc:
+            return self._send_error_json(400, str(exc), error_type="scan_path")
         except (OSError, ValueError, TypeError) as exc:
             return self._send_error_json(400, f"bad submission: {exc}")
         try:
@@ -484,6 +528,8 @@ class _Handler(BaseHTTPRequestHandler):
                     priority=priority,
                     group_id=group_id,
                 )
+        except ScanPathError as exc:
+            return self._send_error_json(400, str(exc), error_type="scan_path")
         except (OSError, ValueError, TypeError) as exc:
             return self._send_error_json(400, f"bad sharded submission: {exc}")
         except AdmissionError as exc:

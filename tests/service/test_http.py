@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+import statistics
 import tempfile
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 from repro.io import load_reconstruction, save_scan
 from repro.service import HttpGateway, ReconstructionService
+from repro.service.http import MAX_BODY_BYTES
 
 PARAMS = {"max_equits": 1.0, "seed": 3, "track_cost": False}
 
@@ -398,3 +402,98 @@ class TestScanCacheLRU:
                 HttpGateway(service, scan_cache_size=0)
         finally:
             service.close()
+
+
+class TestHostileInput:
+    """Path escapes, oversized or malformed bodies, and response stalls."""
+
+    @pytest.fixture()
+    def rooted(self, tmp_path, scan16):
+        """A gateway whose scan root has a valid scan just outside it."""
+        root = tmp_path / "root"
+        root.mkdir()
+        save_scan(root / "scan.npz", scan16)
+        save_scan(tmp_path / "x.npz", scan16)
+        (root / "escape.npz").symlink_to(tmp_path / "x.npz")
+        (root / "alias.npz").symlink_to(root / "scan.npz")
+        service = ReconstructionService(
+            n_workers=1, cache_dir=tmp_path / "cache", start=True
+        )
+        with HttpGateway(service, scan_root=root, own_service=True) as gw:
+            yield gw, root
+
+    @pytest.mark.parametrize(
+        "scan",
+        # The last is absolute, even though it names a file inside the root.
+        ["/etc/passwd", "../x.npz", "sub/../../x.npz", "escape.npz", "{root}/scan.npz"],
+    )
+    def test_scan_paths_outside_root_are_typed_400(self, rooted, scan):
+        gw, root = rooted
+        scan = scan.format(root=root)
+        for shards in (None, {"mode": "slices"}):
+            body = {"driver": "icd", "scan": scan, "params": dict(PARAMS)}
+            if shards:
+                body["shards"] = shards
+            code, _, doc = http_json(gw, "POST", "/jobs", body)
+            assert code == 400, (scan, shards, doc)
+            assert doc["error_type"] == "scan_path", doc
+        assert len(gw.service.jobs) == 0
+
+    @pytest.mark.parametrize("scan", ["scan.npz", "alias.npz", "sub/../scan.npz"])
+    def test_paths_inside_root_are_accepted(self, rooted, scan):
+        gw, _ = rooted
+        code, _, doc = submit(gw, scan=scan)
+        assert code == 201, doc
+        gw.service.job(doc["job_id"]).wait(120)
+
+    @staticmethod
+    def post_with_length(gw, length: str, body: bytes = b""):
+        """POST /jobs announcing ``length`` but sending only ``body``."""
+        conn = HTTPConnection(gw.host, gw.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_oversized_body_is_413_without_reading(self, gateway):
+        status, connection, doc = self.post_with_length(
+            gateway, str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413 and connection == "close"
+        assert str(MAX_BODY_BYTES) in doc["error"]
+        text = http(gateway, "GET", "/metrics")[2].decode()
+        assert 'repro_counter_total{name="http.status.413"} 1' in text
+
+    @pytest.mark.parametrize("length", ["-5", "12abc", "1.5", "1_000"])
+    def test_bad_content_length_is_400(self, gateway, length):
+        status, connection, doc = self.post_with_length(gateway, length)
+        assert status == 400 and connection == "close"
+        assert "Content-Length" in doc["error"]
+        text = http(gateway, "GET", "/metrics")[2].decode()
+        assert 'repro_counter_total{name="http.status.400"} 1' in text
+
+    def test_body_at_the_cap_is_read(self, gateway):
+        body = b'{"driver": "icd", "scan": "scan.npz", "pad": ""}'
+        body = body.ljust(MAX_BODY_BYTES)  # trailing whitespace is valid JSON
+        status, _, doc = self.post_with_length(gateway, str(len(body)), body)
+        assert status == 400 and "unknown fields" in doc["error"]  # parsed, not 413
+
+    def test_keep_alive_answers_do_not_stall(self, gateway):
+        """No Nagle/delayed-ACK stall (~40 ms) between header and body writes."""
+        conn = HTTPConnection(gateway.host, gateway.port, timeout=30)
+        try:
+            times = []
+            for _ in range(11):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+                times.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.02, times
