@@ -5,8 +5,7 @@ the parallel paths never had a chance: dispatch overhead dominated and
 ``process`` landed at 0.585x inline.  This bench fixes the methodology:
 
 * a realistic slice (default 256^2 — ``REPRO_BENCH_BACKEND_PIXELS``),
-* a workers sweep (1 / 2 / 4) over the ``thread`` and ``process`` pools,
-* the pipelined ``run_waves`` path for the 2-worker pools, and
+* a workers sweep (1 / 2 / 4) over the ``process`` pool, and
 * per-config voxel-updates/sec with speedup-vs-inline.
 
 Every pool configuration must reproduce the serial backend's image and
@@ -53,7 +52,7 @@ from repro.utils import resolve_rng
 #: Slice size for the backend sweep (the kernels bench stays at 64^2; the
 #: backend comparison needs enough work per wave to amortise dispatch).
 BACKEND_PIXELS = int(os.environ.get("REPRO_BENCH_BACKEND_PIXELS", "256"))
-#: Worker counts swept for the thread/process pools.
+#: Worker counts swept for the process pool.
 WORKER_SWEEP = (1, 2, 4)
 #: SVs per wave (the paper's CPU core count is 16).
 WAVE_WIDTH = 16
@@ -69,8 +68,8 @@ def _wave_schedule(grid, kernel):
     """The fixed wave schedule every contender executes.
 
     Per-wave base seeds are drawn once here; :func:`make_wave_tasks` keys
-    each SV's stream off ``(base_seed, sv_index)``, so sequential
-    ``run_wave`` and pipelined ``run_waves`` consume identical streams.
+    each SV's stream off ``(base_seed, sv_index)``, so every contender
+    consumes identical streams.
     """
     svs = list(range(min(grid.n_svs, N_WAVES * WAVE_WIDTH)))
     waves = [svs[s : s + WAVE_WIDTH] for s in range(0, len(svs), WAVE_WIDTH)]
@@ -118,17 +117,6 @@ def _time_sequential(backend, schedule, x0, e0):
     return total / dt, x, e
 
 
-def _time_pipelined(backend, schedule, x0, e0):
-    """Whole schedule through the backend's two-deep ``run_waves`` pipeline."""
-    x = x0.copy()
-    e = e0.copy()
-    t0 = time.perf_counter()
-    per_wave = backend.run_waves(schedule, x, e)
-    dt = time.perf_counter() - t0
-    total = sum(s.updates for stats in per_wave for s in stats)
-    return total / dt, x, e
-
-
 def _emit_json(path, best, kernel, sv_side):
     """Write the measured throughputs as the perf-trajectory JSON report."""
     inline = best["inline"]
@@ -172,25 +160,18 @@ def bench_backends():
     kernel = "numba" if HAVE_NUMBA else "vectorized"
     schedule = _wave_schedule(grid, kernel)
 
-    pool_kwargs = dict(updater=updater, grid=grid)
-    proc_kwargs = dict(**pool_kwargs, scan=scan, system=system, prior=prior)
-    backends = {"serial": make_backend("serial", **pool_kwargs)}
+    proc_kwargs = dict(updater=updater, grid=grid, scan=scan, system=system, prior=prior)
+    backends = {"serial": make_backend("serial", updater=updater, grid=grid)}
     for w in WORKER_SWEEP:
-        backends[f"thread@{w}"] = make_backend("thread", n_workers=w, **pool_kwargs)
         backends[f"process@{w}"] = make_backend("process", n_workers=w, **proc_kwargs)
-    # Pipelined contenders reuse the 2-worker pools (persistent arenas —
-    # reuse across passes is exactly what the bench should measure).
-    timers = {name: (_time_sequential, b) for name, b in backends.items()}
-    timers["thread@2+pipe"] = (_time_pipelined, backends["thread@2"])
-    timers["process@2+pipe"] = (_time_pipelined, backends["process@2"])
 
-    best = {"inline": 0.0, **{name: 0.0 for name in timers}}
+    best = {"inline": 0.0, **{name: 0.0 for name in backends}}
     try:
         # Warmup + cross-backend bit-identity: every pool configuration
-        # (including the pipelined ones) must match serial exactly.
+        # must match serial exactly.
         _, x_ref, e_ref = _time_sequential(backends["serial"], schedule, x0, e0)
-        for name, (timer, backend) in timers.items():
-            _, x_b, e_b = timer(backend, schedule, x0, e0)
+        for name, backend in backends.items():
+            _, x_b, e_b = _time_sequential(backend, schedule, x0, e0)
             assert np.array_equal(x_b, x_ref), f"{name}: image not bit-equal to serial"
             assert np.array_equal(e_b, e_ref), f"{name}: error sinogram not bit-equal"
         _, x_i, _ = _time_inline(schedule, updater, grid, x0, e0, kernel)
@@ -199,8 +180,8 @@ def bench_backends():
         for _ in range(TRIALS):
             ups, _, _ = _time_inline(schedule, updater, grid, x0, e0, kernel)
             best["inline"] = max(best["inline"], ups)
-            for name, (timer, backend) in timers.items():
-                ups, _, _ = timer(backend, schedule, x0, e0)
+            for name, backend in backends.items():
+                ups, _, _ = _time_sequential(backend, schedule, x0, e0)
                 best[name] = max(best[name], ups)
     finally:
         for backend in backends.values():

@@ -118,7 +118,7 @@ def _time_sv_wave(contender, kctx, updater, grid, x0, e0, stale_width):
 #: Wave width for the backend throughput comparison (the paper's core count
 #: is 16; 8 keeps every wave full on the small benchmark grid).
 BACKEND_WAVE_WIDTH = 8
-#: Pool size for the thread/process backend contenders.
+#: Pool size for the process backend contender.
 BACKEND_WORKERS = min(4, os.cpu_count() or 1)
 
 
@@ -165,7 +165,7 @@ def _time_backend_waves(backend, grid, x0, e0, kernel):
 
 
 def _bench_backend_waves(ctx, updater, grid, x0, e0):
-    """Wave throughput: inline emulation vs serial/thread/process backends.
+    """Wave throughput: inline emulation vs serial/process backends.
 
     The backend contenders must be bit-identical to each other (snapshot
     isolation + deterministic merge — the cross-backend contract); inline
@@ -176,9 +176,6 @@ def _bench_backend_waves(ctx, updater, grid, x0, e0):
     scan = ctx.scan(ctx.cases[0])
     backends = {
         "serial": make_backend("serial", updater=updater, grid=grid),
-        "thread": make_backend(
-            "thread", updater=updater, grid=grid, n_workers=BACKEND_WORKERS
-        ),
         "process": make_backend(
             "process", updater=updater, grid=grid, scan=scan, system=ctx.system,
             prior=default_prior(), n_workers=BACKEND_WORKERS,

@@ -6,7 +6,6 @@ from repro.core.backends import (
     SerialBackend,
     SVWaveResult,
     SVWaveTask,
-    ThreadBackend,
     make_backend,
     make_wave_tasks,
     run_wave,
@@ -59,7 +58,6 @@ __all__ = [
     "SVWaveTask",
     "SVWaveResult",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "make_wave_tasks",

@@ -24,10 +24,7 @@ because it needs no pool and its iterates predate the backends.
 Backends
 --------
 * :class:`SerialBackend` — snapshot semantics, one worker (the reference
-  for the parallel backends' results).
-* :class:`ThreadBackend` — ``concurrent.futures.ThreadPoolExecutor``; the
-  per-voxel math is NumPy-heavy enough that this mostly tests real
-  interleavings rather than buying speed under the GIL.
+  for the process backend's results).
 * :class:`ProcessBackend` — ``ProcessPoolExecutor`` over persistent
   shared-memory arenas (see below).
 
@@ -40,20 +37,19 @@ sizes the dispatch/pickle/attach overhead swamped the compute and the
 per-SV and per-wave fixed cost:
 
 * **whole-wave batching** — a wave is split into contiguous *shards*, one
-  per worker by default (capped at ``wave_batch`` SVs when set).  One
-  future per shard: dispatch and pickling are O(workers), not O(SVs).
-  :func:`make_wave_tasks` remains the single seed-truth source, so shard
-  composition cannot change the iterates.
-* **persistent snapshot arenas** (process) — one ``x``/``e`` arena sized
-  to the volume is created at first use and *reused* for every subsequent
-  wave: the parent memcpys the wave snapshot in; workers attach once per
+  per worker.  One future per shard: dispatch and pickling are
+  O(workers), not O(SVs).  :func:`make_wave_tasks` remains the single
+  seed-truth source, so shard composition cannot change the iterates.
+* **persistent snapshot arena** — one ``x``/``e`` arena sized to the
+  volume is created at first use and *reused* for every subsequent wave:
+  the parent memcpys the wave snapshot in; workers attach once per
   segment name and cache the mapping.  No per-wave create/unlink, no
   per-task attach.
-* **shared-memory result transport** (process) — workers write each SV's
-  new voxel values and SVB delta into a preassigned span of a result
-  arena (offsets are computed in the parent; parent and worker grids are
-  deterministic and therefore identical) and return only per-SV stats
-  tuples, so results are not pickled either.
+* **shared-memory result transport** — workers write each SV's new voxel
+  values and SVB delta into a preassigned span of a result arena (offsets
+  are computed in the parent; parent and worker grids are deterministic
+  and therefore identical) and return only per-SV stats tuples, so
+  results are not pickled either.
 * **one snapshot copy per shard** — a shard shares a single private
   ``x`` copy; after each SV the touched entries are restored from the
   snapshot (``process_supervoxel`` writes ``x`` only at ``sv.voxels``),
@@ -61,32 +57,22 @@ per-SV and per-wave fixed cost:
 * **fused numba waves by default** — whenever numba is importable and the
   tasks carry ``kernel="numba"`` (what ``kernel="auto"`` resolves to), a
   shard runs as one ``prange``-parallel compiled call
-  (:func:`repro.core.kernels.run_wave_fused`) in every backend, serial
+  (:func:`repro.core.kernels.run_wave_fused`) in both backends, serial
   and workers alike.
-* **pipelined waves** — :meth:`run_waves` executes a list of consecutive
-  waves two-deep: while workers compute wave ``k``, the parent applies
-  wave ``k-1``'s deltas to the caller's ``x``/``e``.  Snapshots alternate
-  between two arena slots (double buffering); each slot catches up to the
-  exact post-merge state of the previous wave by replaying the recorded
-  per-SV delta lists in the same ascending-SV order the plain merge uses,
-  so the pipeline only *defers* float operations and never reorders them
-  — iterates are bit-identical to sequential :meth:`run_wave` calls.
-  Drivers expose this as ``pipeline=True``.
 
-All backends are context managers with idempotent :meth:`close`; the pool
-backends accept a per-wave ``wave_timeout`` and recover from worker
-crashes by recomputing the failed shards inline (bit-identical, because
-tasks carry their own seeds and workers only ever see the shared
-snapshot).  The process backend keeps an explicit registry of every
-shared-memory segment it creates and closes+unlinks them all in
-:meth:`close` (with a ``weakref.finalize`` backstop), so crashed workers
-cannot leak ``/dev/shm`` segments.
+Both backends are context managers with idempotent :meth:`close`; the
+process backend accepts a per-wave ``wave_timeout`` and recovers from
+worker crashes by recomputing the failed shards inline (bit-identical,
+because tasks carry their own seeds and workers only ever see the shared
+snapshot).  It keeps an explicit registry of every shared-memory segment
+it creates and closes+unlinks them all in :meth:`close` (with a
+``weakref.finalize`` backstop), so crashed workers cannot leak
+``/dev/shm`` segments.
 
 Instrumentation: ``run_wave(tasks, x, e, metrics=...)`` accepts a
 :class:`~repro.observability.MetricsRecorder` and wraps the three wave
 phases in the same ``extract`` / ``update`` / ``merge`` spans the inline
-drivers emit, so profiles of inline and backend runs line up one-to-one
-(:meth:`run_waves` additionally wraps each wave in a ``wave`` span).
+drivers emit, so profiles of inline and backend runs line up one-to-one.
 
 Seeding: per-SV streams derive from ``np.random.SeedSequence(entropy=
 base_seed, spawn_key=(sv_index,))`` — the spawn-key construction NumPy
@@ -94,12 +80,12 @@ guarantees collision-free — replacing an older affine scheme
 (``base_seed * 1_000_003 + sv_index``) whose (base_seed, sv) pairs could
 collide.  Backend iterates changed at that switch; no test pinned them.
 
-Fault injection: the pool backends accept a ``fault_injection`` spec —
+Fault injection: the process backend accepts a ``fault_injection`` spec —
 ``(mode, sv_indices, stall_seconds)`` with mode ``"crash"`` or ``"stall"``,
 as built by :meth:`repro.resilience.FaultInjector.worker_fault` — that
-makes workers die (ProcessBackend), raise (ThreadBackend), or stall on the
-listed SVs, so the inline-fallback and pool-rebuild recovery paths are
-provably exercised by tests rather than trusted on faith.
+makes workers die or stall on the listed SVs, so the inline-fallback and
+pool-rebuild recovery paths are provably exercised by tests rather than
+trusted on faith.
 """
 
 from __future__ import annotations
@@ -128,7 +114,6 @@ __all__ = [
     "SVWaveTask",
     "SVWaveResult",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "make_backend",
@@ -139,7 +124,7 @@ __all__ = [
 
 #: Backend names accepted by the drivers' ``backend=`` argument.  "inline"
 #: is the drivers' built-in emulation (no backend object is constructed).
-BACKENDS = ("inline", "serial", "thread", "process")
+BACKENDS = ("inline", "serial", "process")
 
 
 def wave_task_seed(base_seed: int, sv_index: int) -> np.random.SeedSequence:
@@ -206,18 +191,6 @@ class SVWaveResult:
     stats: SVUpdateStats
 
 
-def _inject_local_fault(fault_injection: tuple | None, sv_index: int) -> None:
-    """Apply a ``(mode, svs, seconds)`` fault spec inside a thread worker."""
-    if not fault_injection:
-        return
-    mode, svs, seconds = fault_injection
-    if sv_index in svs:
-        if mode == "crash":
-            raise RuntimeError(f"injected worker crash on SV {sv_index}")
-        if mode == "stall":
-            time.sleep(seconds)
-
-
 def _fused_results(
     tasks: "list[SVWaveTask]",
     updater: SliceUpdater,
@@ -269,14 +242,12 @@ def _run_task_list(
     grid: SuperVoxelGrid,
     x_snapshot: np.ndarray,
     e_snapshot: np.ndarray,
-    fault_injection: tuple | None = None,
-    fault=_inject_local_fault,
 ) -> "list[SVWaveResult]":
     """Process a shard of wave tasks against one shared snapshot pair.
 
     The single compute loop every backend funnels through — the serial
-    path, thread-pool shards, process workers, and the inline-fallback
-    recovery all call this, so they cannot drift numerically.
+    path, process workers, and the inline-fallback recovery all call this,
+    so they cannot drift numerically.
 
     One private ``x`` copy serves the whole shard: ``process_supervoxel``
     writes ``x`` only at ``sv.voxels``, so restoring those entries from
@@ -288,13 +259,10 @@ def _run_task_list(
     if not tasks:
         return []
     if kernels.HAVE_NUMBA and all(t.kernel == "numba" for t in tasks):
-        for t in tasks:
-            fault(fault_injection, t.sv_index)
         return _fused_results(tasks, updater, grid, x_snapshot, e_snapshot)
     results: list[SVWaveResult] = []
     x_local = x_snapshot.copy()
     for task in tasks:
-        fault(fault_injection, task.sv_index)
         sv = grid.svs[task.sv_index]
         svb = sv.extract(e_snapshot)
         orig = svb.copy()
@@ -320,17 +288,6 @@ def _run_task_list(
         )
         x_local[sv.voxels] = x_snapshot[sv.voxels]
     return results
-
-
-def _process_one(
-    task: SVWaveTask,
-    updater: SliceUpdater,
-    grid: SuperVoxelGrid,
-    x_snapshot: np.ndarray,
-    e_snapshot: np.ndarray,
-) -> SVWaveResult:
-    """Process one SV against private snapshot copies (single-task shard)."""
-    return _run_task_list([task], updater, grid, x_snapshot, e_snapshot)[0]
 
 
 def _merge(
@@ -362,190 +319,25 @@ def _merge(
     return stats
 
 
-def _wave_deltas(
-    results: "list[SVWaveResult]", grid: SuperVoxelGrid, x_snapshot: np.ndarray
-):
-    """Freeze a wave's merge into replayable per-SV delta arrays.
-
-    The returned deltas are fresh copies (no views into reusable arenas):
-    applying them with :func:`_apply_deltas` performs exactly the float
-    operations :func:`_merge` would, in the same order, which is what lets
-    the pipelined path defer and replay merges without changing iterates.
-    """
-    deltas = []
-    stats = []
-    for res in results:
-        sv = grid.svs[res.sv_index]
-        deltas.append(
-            (
-                res.voxel_indices,
-                res.voxel_values - x_snapshot[res.voxel_indices],
-                sv.valid_gather,
-                res.svb_delta[sv.valid_mask],
-            )
-        )
-        stats.append(res.stats)
-    return deltas, stats
-
-
-def _apply_deltas(deltas, x: np.ndarray, e: np.ndarray) -> None:
-    """Replay one wave's frozen deltas onto ``x``/``e`` (see _wave_deltas)."""
-    for vox, dx, gather, de in deltas:
-        x[vox] += dx
-        e[gather] += de
-
-
 def _future_result(fut, deadline):
-    """``(ok, value)`` from a future, catching in a view-free frame.
+    """``(ok, value)`` from a future; a failure's traceback is dropped.
 
     Failure exceptions (``BrokenProcessPool``, timeouts) keep their
-    traceback — and with it every frame they propagated through — alive
-    for as long as the executor references them.  Catching here, in a
-    frame whose locals hold no arena views, keeps a failed wave from
-    pinning snapshot/result buffers past :meth:`close` (which would turn
-    the segments' ``close()`` into ``BufferError``).
+    traceback — and with it every frame they propagated through, callers
+    included (a finished frame keeps its ``f_back``) — alive for as long
+    as anything references the exception.  A broken pool shares one
+    exception object across all its futures, and the executor's manager
+    thread holds it while it joins the dead workers, so a traceback left
+    on it would pin the caller's result-arena views past :meth:`close`
+    (turning the segments' ``close()`` into ``BufferError``).
     """
     try:
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         return True, fut.result(timeout=remaining)
-    except Exception:
+    except Exception as exc:
+        exc.__traceback__ = None
         fut.cancel()
         return False, None
-
-
-def _shard_tasks(tasks, n_workers: int, wave_batch: int | None):
-    """Split a wave into contiguous shards.
-
-    One shard per worker by default (dispatch cost O(workers)); setting
-    ``wave_batch`` caps the shard size instead, trading dispatch overhead
-    for scheduling granularity.  Sharding never affects iterates — each
-    task carries its own seed and all shards read the same snapshot.
-    """
-    if not tasks:
-        return []
-    if wave_batch is not None:
-        size = int(wave_batch)
-    else:
-        size = -(-len(tasks) // n_workers)
-    return [tasks[i : i + size] for i in range(0, len(tasks), size)]
-
-
-class _SnapshotSlot:
-    """One x/e snapshot buffer, optionally backed by a shared segment.
-
-    The pipelined path double-buffers two of these; ``applied`` tracks the
-    index of the last wave whose deltas this slot has absorbed (``-1`` =
-    the caller's state before wave 0, ``None`` = not yet initialised).
-    """
-
-    def __init__(self, n_x: int, n_e: int, shm: shared_memory.SharedMemory | None = None):
-        self.n_x = int(n_x)
-        self.n_e = int(n_e)
-        self.shm = shm
-        if shm is None:
-            buf = np.empty(n_x + n_e, dtype=np.float64)
-        else:
-            buf = np.frombuffer(shm.buf, dtype=np.float64, count=n_x + n_e)
-        self._buf = buf
-        self.x = buf[:n_x]
-        self.e = buf[n_x:]
-        self.applied: int | None = None
-
-    @classmethod
-    def view(cls, x: np.ndarray, e: np.ndarray) -> "_SnapshotSlot":
-        """Adopt existing snapshot arrays without copying (thread path)."""
-        slot = object.__new__(cls)
-        slot.n_x, slot.n_e = x.size, e.size
-        slot.shm = None
-        slot._buf = None
-        slot.x, slot.e = x, e
-        slot.applied = None
-        return slot
-
-    def fill(self, x: np.ndarray, e: np.ndarray) -> None:
-        np.copyto(self.x, x)
-        np.copyto(self.e, e)
-
-    def copy_from(self, other: "_SnapshotSlot") -> None:
-        np.copyto(self.x, other.x)
-        np.copyto(self.e, other.e)
-        self.applied = other.applied
-
-    def release(self) -> None:
-        """Drop the numpy views so the backing segment can close cleanly."""
-        self.x = self.e = self._buf = None
-
-
-def _sync_slot(slot: _SnapshotSlot, k: int, slots, x, e, delta_log) -> None:
-    """Bring ``slot`` to the exact post-merge state of wave ``k - 1``.
-
-    A freshly rotated slot holds the post-state of wave ``k - 2`` (it was
-    wave ``k - 1``'s snapshot); replaying the recorded delta lists for the
-    missing waves — the same arrays, same ascending-SV order as the plain
-    merge — closes the gap bit-identically.
-    """
-    target = k - 1
-    if slot.applied is None:
-        if k == 0:
-            slot.fill(x, e)  # the caller's state *is* the pre-wave-0 state
-            slot.applied = -1
-        else:
-            slot.copy_from(slots[(k - 1) % len(slots)])
-    for j in range(slot.applied + 1, target + 1):
-        _apply_deltas(delta_log[j], slot.x, slot.e)
-        slot.applied = j
-
-
-def _run_waves_pipelined(backend, waves, x, e, metrics) -> "list[list[SVUpdateStats]]":
-    """Two-deep pipelined execution of consecutive waves (see module doc).
-
-    Wave ``k + 1`` must start from the exact post-merge state of wave
-    ``k``, so the pipeline never *reorders* float operations — it only
-    defers applying wave ``k``'s deltas to the caller's ``x``/``e`` until
-    after wave ``k + 1`` has been dispatched, keeping the dispatch gap
-    busy with the merge instead of idling the workers.
-    """
-    backend._check_open()
-    rec = as_recorder(metrics)
-    if not waves:
-        return []
-    slots = backend._pipeline_slots(x.size, e.size, min(2, len(waves)))
-    for slot in slots:
-        slot.applied = None
-    delta_log: dict[int, list] = {}
-    all_stats: list[list[SVUpdateStats]] = []
-    pending = None  # (wave index, frozen deltas, stats) awaiting x/e merge
-    x_applied = -1
-    for k, tasks in enumerate(waves):
-        slot = slots[k % len(slots)]
-        with rec.span("wave", svs=len(tasks)):
-            with rec.span("extract"):
-                _sync_slot(slot, k, slots, x, e, delta_log)
-            dispatched = backend._dispatch(tasks, slot)
-            if pending is not None:
-                # Overlap: workers compute wave k while the caller's x/e
-                # absorb wave k-1.
-                j, deltas, stats = pending
-                with rec.span("merge"):
-                    _apply_deltas(deltas, x, e)
-                x_applied = j
-                all_stats.append(stats)
-                pending = None
-            with rec.span("update"):
-                results = backend._collect(dispatched, slot, rec)
-            results.sort(key=lambda r: r.sv_index)
-            deltas, stats = _wave_deltas(results, backend.grid, slot.x)
-            delta_log[k] = deltas
-            pending = (k, deltas, stats)
-        # Deltas already absorbed by x/e *and* every slot are dead.
-        low = min([x_applied] + [s.applied for s in slots if s.applied is not None])
-        for j in [j for j in delta_log if j <= low]:
-            del delta_log[j]
-    j, deltas, stats = pending
-    with rec.span("merge"):
-        _apply_deltas(deltas, x, e)
-    all_stats.append(stats)
-    return all_stats
 
 
 class SerialBackend:
@@ -574,30 +366,11 @@ class SerialBackend:
             x_snapshot = x.copy()
             e_snapshot = e.copy()
         with rec.span("update"):
-            results = self._execute(tasks, x_snapshot, e_snapshot, rec)
+            results = _run_task_list(tasks, self.updater, self.grid, x_snapshot, e_snapshot)
         # Deterministic merge order regardless of completion order.
         results.sort(key=lambda r: r.sv_index)
         with rec.span("merge"):
             return _merge(results, self.grid, x, e, x_snapshot)
-
-    def run_waves(
-        self, waves, x: np.ndarray, e: np.ndarray, *, metrics=None
-    ) -> "list[list[SVUpdateStats]]":
-        """Run consecutive waves; returns per-wave stats lists.
-
-        The serial backend executes them strictly in order (nothing to
-        overlap); the pool backends override this with the two-deep
-        pipeline.  Iterates are identical either way.
-        """
-        rec = as_recorder(metrics)
-        out = []
-        for tasks in waves:
-            with rec.span("wave", svs=len(tasks)):
-                out.append(self.run_wave(tasks, x, e, metrics=rec))
-        return out
-
-    def _execute(self, tasks, x_snapshot, e_snapshot, rec) -> "list[SVWaveResult]":
-        return _run_task_list(tasks, self.updater, self.grid, x_snapshot, e_snapshot)
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -619,126 +392,6 @@ class SerialBackend:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-
-class ThreadBackend(SerialBackend):
-    """Snapshot-isolation wave execution on a thread pool.
-
-    The wave is split into one contiguous shard per worker (``wave_batch``
-    caps the shard size instead when set); each shard runs the shared
-    :func:`_run_task_list` loop against the same snapshot.  Worker
-    failures (a shard raising) and per-wave timeouts degrade to inline
-    recomputation of the affected shards on the calling thread —
-    bit-identical to a clean run, because each task carries its own seed
-    and reads only the immutable wave snapshot.  A timed-out worker thread
-    cannot be killed; its result is simply discarded (it only ever touches
-    private copies).
-
-    ``fault_injection`` optionally carries a
-    :meth:`repro.resilience.FaultInjector.worker_fault` spec; affected SVs
-    raise (crash) or sleep (stall) inside the worker, exercising the
-    fallback path above.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        updater: SliceUpdater,
-        grid: SuperVoxelGrid,
-        *,
-        n_workers: int = 4,
-        wave_timeout: float | None = None,
-        fault_injection: tuple | None = None,
-        wave_batch: int | None = None,
-    ) -> None:
-        super().__init__(updater, grid)
-        check_positive("n_workers", n_workers)
-        if wave_timeout is not None:
-            check_positive("wave_timeout", wave_timeout)
-        if wave_batch is not None:
-            check_positive("wave_batch", wave_batch)
-        self.n_workers = int(n_workers)
-        self.wave_timeout = wave_timeout
-        self.wave_batch = None if wave_batch is None else int(wave_batch)
-        self.fault_injection = fault_injection
-        #: tasks recomputed inline after a worker failure or wave timeout.
-        self.inline_fallbacks = 0
-        self._slots: list[_SnapshotSlot] = []
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=n_workers)
-
-    def _execute(self, tasks, x_snapshot, e_snapshot, rec) -> "list[SVWaveResult]":
-        slot = _SnapshotSlot.view(x_snapshot, e_snapshot)
-        return self._collect(self._dispatch(tasks, slot), slot, rec)
-
-    # -- pipeline protocol (shared with ProcessBackend) -----------------
-    def run_waves(self, waves, x, e, *, metrics=None):
-        """Pipelined execution of consecutive waves (bit-identical)."""
-        return _run_waves_pipelined(self, waves, x, e, metrics)
-
-    def _pipeline_slots(self, n_x: int, n_e: int, n_slots: int):
-        if self._slots and (self._slots[0].n_x != n_x or self._slots[0].n_e != n_e):
-            self._slots = []
-        while len(self._slots) < n_slots:
-            self._slots.append(_SnapshotSlot(n_x, n_e))
-        return self._slots[:n_slots]
-
-    def _dispatch(self, tasks, slot: _SnapshotSlot):
-        shards = _shard_tasks(tasks, self.n_workers, self.wave_batch)
-        futures = [
-            (
-                self._pool.submit(
-                    _run_task_list,
-                    shard,
-                    self.updater,
-                    self.grid,
-                    slot.x,
-                    slot.e,
-                    self.fault_injection,
-                ),
-                shard,
-            )
-            for shard in shards
-        ]
-        deadline = (
-            None if self.wave_timeout is None else time.monotonic() + self.wave_timeout
-        )
-        return futures, deadline
-
-    def _collect(self, dispatched, slot: _SnapshotSlot, rec) -> "list[SVWaveResult]":
-        futures, deadline = dispatched
-        results: list[SVWaveResult] = []
-        failed = []
-        for fut, shard in futures:
-            ok, shard_results = _future_result(fut, deadline)
-            if ok:
-                results.extend(shard_results)
-            else:
-                failed.append(shard)
-        if failed:
-            self._note_failure(sum(len(s) for s in failed), rec)
-            for shard in failed:
-                # Recompute without fault injection: the fallback must
-                # succeed where the worker (deliberately) did not.
-                results.extend(
-                    _run_task_list(shard, self.updater, self.grid, slot.x, slot.e)
-                )
-        return results
-
-    def _note_failure(self, n: int, rec) -> None:
-        self.inline_fallbacks += n
-        rec.count("backend.inline_fallbacks", n)
-
-    def close(self) -> None:
-        """Shut the pool down and drop the snapshot buffers (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            # Symmetric with ProcessBackend: the pipeline slots hold two
-            # volume-sized float64 buffers that must not outlive close().
-            for slot in self._slots:
-                slot.release()
-            self._slots = []
 
 
 # ----------------------------------------------------------------------
@@ -768,6 +421,38 @@ class _ResultHandle:
 
     shm_name: str
     n_floats: int
+
+
+def _shard_tasks(tasks, n_workers: int):
+    """Split a wave into one contiguous shard per worker.
+
+    Dispatch cost is O(workers).  Sharding never affects iterates — each
+    task carries its own seed and all shards read the same snapshot.
+    """
+    if not tasks:
+        return []
+    size = -(-len(tasks) // n_workers)
+    return [tasks[i : i + size] for i in range(0, len(tasks), size)]
+
+
+class _SnapshotArena:
+    """The persistent x/e snapshot buffer, backed by one shared segment."""
+
+    def __init__(self, n_x: int, n_e: int, shm: shared_memory.SharedMemory):
+        self.n_x = int(n_x)
+        self.n_e = int(n_e)
+        self.shm = shm
+        buf = np.frombuffer(shm.buf, dtype=np.float64, count=n_x + n_e)
+        self.x = buf[:n_x]
+        self.e = buf[n_x:]
+
+    def fill(self, x: np.ndarray, e: np.ndarray) -> None:
+        np.copyto(self.x, x)
+        np.copyto(self.e, e)
+
+    def release(self) -> None:
+        """Drop the numpy views so the backing segment can close cleanly."""
+        self.x = self.e = None
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -859,7 +544,10 @@ def _worker_init(state) -> None:
 
 
 def _maybe_inject_fault(sv_index: int) -> None:
-    """Test-only fault hook: crash or stall the worker on selected SVs."""
+    """Test-only fault hook: crash or stall the worker on selected SVs.
+
+    Checked for each task of a shard before the shard runs.
+    """
     injection = _WORKER_STATE.get("fault_injection")
     if not injection:
         return
@@ -871,11 +559,6 @@ def _maybe_inject_fault(sv_index: int) -> None:
             os._exit(1)
         elif mode == "stall":
             time.sleep(seconds)
-
-
-def _worker_fault(_spec, sv_index: int) -> None:
-    """Adapter: route `_run_task_list`'s fault hook to the process spec."""
-    _maybe_inject_fault(sv_index)
 
 
 def _worker_view(name: str, n_floats: int) -> np.ndarray:
@@ -905,16 +588,14 @@ def _worker_run_shard(tasks, spans, snap: _SnapshotHandle, res: _ResultHandle):
     """
     buf = _worker_view(snap.shm_name, snap.n_x + snap.n_e)
     out = _worker_view(res.shm_name, res.n_floats)
-    x_snapshot = buf[: snap.n_x]
-    e_snapshot = buf[snap.n_x :]
+    for task in tasks:
+        _maybe_inject_fault(task.sv_index)
     results = _run_task_list(
         tasks,
         _WORKER_STATE["updater"],
         _WORKER_STATE["grid"],
-        x_snapshot,
-        e_snapshot,
-        fault_injection=_WORKER_STATE.get("fault_injection"),
-        fault=_worker_fault,
+        buf[: snap.n_x],
+        buf[snap.n_x :],
     )
     stats_out = []
     for result, (vox_off, delta_off) in zip(results, spans):
@@ -929,14 +610,13 @@ class ProcessBackend:
     """Snapshot-isolation wave execution on a process pool.
 
     Workers adopt the parent's slice state for free under fork (or rebuild
-    it once from picklable parts under spawn).  Snapshots live in
-    *persistent* shared-memory arenas created at first use and reused for
+    it once from picklable parts under spawn).  Snapshots live in a
+    *persistent* shared-memory arena created at first use and reused for
     every wave — per wave the parent only memcpys ``x``/``e`` in; workers
     attach once per segment and cache the mapping.  The wave is dispatched
-    as one shard per worker (``wave_batch`` caps shard size); workers
-    write voxel values and SVB deltas into a shared result arena at
-    parent-assigned offsets and return only stats, so neither snapshots
-    nor results are ever pickled.
+    as one shard per worker; workers write voxel values and SVB deltas
+    into a shared result arena at parent-assigned offsets and return only
+    stats, so neither snapshots nor results are ever pickled.
 
     Robustness: a worker crash (the pool breaks) or a wave running past
     ``wave_timeout`` seconds degrades to inline recomputation of the
@@ -959,8 +639,6 @@ class ProcessBackend:
         Pool size.
     wave_timeout:
         Optional per-wave wall-clock budget in seconds.
-    wave_batch:
-        Optional shard-size cap (default: one shard per worker).
     updater, grid:
         Optional prebuilt local mirror (used for merging and inline
         fallback); built from the other arguments when omitted.
@@ -968,8 +646,6 @@ class ProcessBackend:
         Optional ``(mode, sv_indices, stall_seconds)`` worker-fault spec
         (see :meth:`repro.resilience.FaultInjector.worker_fault`); affected
         SVs kill (crash) or sleep (stall) their worker process.
-        ``_fault_injection`` is the older spelling, kept for callers that
-        predate the public name.
     """
 
     name = "process"
@@ -985,19 +661,13 @@ class ProcessBackend:
         positivity: bool = True,
         n_workers: int = 2,
         wave_timeout: float | None = None,
-        wave_batch: int | None = None,
         updater: SliceUpdater | None = None,
         grid: SuperVoxelGrid | None = None,
         fault_injection: tuple | None = None,
-        _fault_injection: tuple | None = None,
     ) -> None:
         check_positive("n_workers", n_workers)
         if wave_timeout is not None:
             check_positive("wave_timeout", wave_timeout)
-        if wave_batch is not None:
-            check_positive("wave_batch", wave_batch)
-        if fault_injection is None:
-            fault_injection = _fault_injection
         if updater is None:
             neighborhood = shared_neighborhood(system.geometry.n_pixels)
             updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
@@ -1007,7 +677,6 @@ class ProcessBackend:
         self.grid = grid if grid is not None else SuperVoxelGrid(system, sv_side, overlap=overlap)
         self.n_workers = int(n_workers)
         self.wave_timeout = wave_timeout
-        self.wave_batch = None if wave_batch is None else int(wave_batch)
         #: tasks recomputed inline after worker crashes / wave timeouts.
         self.inline_fallbacks = 0
         #: pools discarded after a crash or timeout.
@@ -1029,7 +698,7 @@ class ProcessBackend:
         #: already-unlinked mappings whose close() is deferred until the
         #: views pinning them die (see _drop_segment).
         self._retired: dict[str, shared_memory.SharedMemory] = {}
-        self._slots: list[_SnapshotSlot] = []
+        self._arena: _SnapshotArena | None = None
         self._result_shm: shared_memory.SharedMemory | None = None
         self._result_view: np.ndarray | None = None
         self._result_capacity = 0
@@ -1060,7 +729,7 @@ class ProcessBackend:
         SIGKILL delivery is asynchronous, and a fresh segment name
         guarantees that any straggler's late write lands in the unlinked
         old mapping, never in floats a future wave reads.  The snapshot
-        slots stay — stragglers only ever *read* those, and the inline
+        arena stays — stragglers only ever *read* it, and the inline
         fallback still needs the current wave's snapshot.
         """
         if self._pool is not None:
@@ -1097,9 +766,9 @@ class ProcessBackend:
         try:
             shm.close()
         except BufferError:
-            # Live views into the old mapping (e.g. the previous wave's
-            # results while pipelining past an arena regrow) make close()
-            # fail; unlink below still removes the /dev/shm entry now, and
+            # Live views into the old mapping (e.g. result views pinned by
+            # a failed wave's exception traceback) make close() fail;
+            # unlink below still removes the /dev/shm entry now, and
             # the retired mapping is closed at backend close once the views
             # are dead — parking it also keeps SharedMemory.__del__ from
             # raising the same BufferError at an arbitrary GC point.
@@ -1115,17 +784,17 @@ class ProcessBackend:
         """Names of the live shared-memory segments this backend owns."""
         return tuple(self._segments)
 
-    def _pipeline_slots(self, n_x: int, n_e: int, n_slots: int):
-        """The persistent snapshot arenas for this volume size (reused)."""
-        if self._slots and (self._slots[0].n_x != n_x or self._slots[0].n_e != n_e):
-            for slot in self._slots:
-                slot.release()
-                self._drop_segment(slot.shm)
-            self._slots = []
-        while len(self._slots) < n_slots:
+    def _snapshot_arena(self, n_x: int, n_e: int) -> _SnapshotArena:
+        """The persistent snapshot arena for this volume size (reused)."""
+        arena = self._arena
+        if arena is not None and (arena.n_x != n_x or arena.n_e != n_e):
+            arena.release()
+            self._drop_segment(arena.shm)
+            arena = None
+        if arena is None:
             shm = self._new_segment((n_x + n_e) * 8)
-            self._slots.append(_SnapshotSlot(n_x, n_e, shm=shm))
-        return self._slots[:n_slots]
+            arena = self._arena = _SnapshotArena(n_x, n_e, shm)
+        return arena
 
     def _ensure_result(self, n_floats: int) -> np.ndarray:
         """Grow-only result arena; a fresh name whenever it must grow."""
@@ -1148,19 +817,15 @@ class ProcessBackend:
         self._check_open()
         rec = as_recorder(metrics)
         with rec.span("extract"):
-            slot = self._pipeline_slots(x.size, e.size, 1)[0]
-            slot.fill(x, e)
+            arena = self._snapshot_arena(x.size, e.size)
+            arena.fill(x, e)
         with rec.span("update"):
-            results = self._collect(self._dispatch(tasks, slot), slot, rec)
+            results = self._collect(self._dispatch(tasks, arena), arena, rec)
         results.sort(key=lambda r: r.sv_index)
         with rec.span("merge"):
-            return _merge(results, self.grid, x, e, slot.x)
+            return _merge(results, self.grid, x, e, arena.x)
 
-    def run_waves(self, waves, x, e, *, metrics=None):
-        """Pipelined execution of consecutive waves (bit-identical)."""
-        return _run_waves_pipelined(self, waves, x, e, metrics)
-
-    def _dispatch(self, tasks, slot: _SnapshotSlot):
+    def _dispatch(self, tasks, arena: _SnapshotArena):
         """Submit one shard per worker; plan result-arena spans up front.
 
         Offsets computed here are valid worker-side because parent and
@@ -1175,9 +840,9 @@ class ProcessBackend:
             spans.append((offset, offset + sv.n_voxels))
             offset += sv.n_voxels + sv.svb_cells
         self._ensure_result(offset)
-        snap_handle = _SnapshotHandle(slot.shm.name, slot.n_x, slot.n_e)
+        snap_handle = _SnapshotHandle(arena.shm.name, arena.n_x, arena.n_e)
         res_handle = _ResultHandle(self._result_shm.name, self._result_capacity)
-        pair_shards = _shard_tasks(list(zip(tasks, spans)), self.n_workers, self.wave_batch)
+        pair_shards = _shard_tasks(list(zip(tasks, spans)), self.n_workers)
         futures = []
         for pairs in pair_shards:
             shard_tasks = [p[0] for p in pairs]
@@ -1195,7 +860,7 @@ class ProcessBackend:
         )
         return futures, deadline
 
-    def _collect(self, dispatched, slot: _SnapshotSlot, rec) -> "list[SVWaveResult]":
+    def _collect(self, dispatched, arena: _SnapshotArena, rec) -> "list[SVWaveResult]":
         futures, deadline = dispatched
         out = self._result_view
         results: list[SVWaveResult] = []
@@ -1234,7 +899,7 @@ class ProcessBackend:
             rec.count("backend.pool_rebuilds", 1)
             for shard_tasks in failed:
                 results.extend(
-                    _run_task_list(shard_tasks, self.updater, self.grid, slot.x, slot.e)
+                    _run_task_list(shard_tasks, self.updater, self.grid, arena.x, arena.e)
                 )
         return results
 
@@ -1255,9 +920,9 @@ class ProcessBackend:
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
-            for slot in self._slots:
-                slot.release()
-            self._slots = []
+            if self._arena is not None:
+                self._arena.release()
+                self._arena = None
             self._result_view = None
             self._result_shm = None
             _release_segments(self._segments)
@@ -1282,33 +947,21 @@ def make_backend(
     positivity: bool = True,
     n_workers: int = 4,
     wave_timeout: float | None = None,
-    wave_batch: int | None = None,
     fault_injection: tuple | None = None,
 ):
-    """Build an execution backend by name ("serial" / "thread" / "process").
+    """Build an execution backend by name ("serial" / "process").
 
-    The drivers call this with their own updater/grid so all backends merge
+    The drivers call this with their own updater/grid so both backends merge
     through the exact same local state; ``scan``/``system``/``prior`` are
     required for "process" (workers rebuild from them under spawn).
-    ``wave_batch`` caps the pool backends' shard size (serial has no
-    shards, so it is ignored there).  ``fault_injection`` (a
-    :meth:`repro.resilience.FaultInjector.worker_fault` spec) is only
-    meaningful for the pool backends — the serial backend has no workers to
-    fault, so passing one raises.
+    ``fault_injection`` (a :meth:`repro.resilience.FaultInjector.worker_fault`
+    spec) is only meaningful for the process backend — the serial backend
+    has no workers to fault, so passing one raises.
     """
     if name == "serial":
         if fault_injection is not None:
             raise ValueError("backend='serial' has no workers to fault-inject")
         return SerialBackend(updater, grid)
-    if name == "thread":
-        return ThreadBackend(
-            updater,
-            grid,
-            n_workers=n_workers,
-            wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
-            fault_injection=fault_injection,
-        )
     if name == "process":
         if scan is None or system is None or prior is None:
             raise ValueError("backend='process' needs scan, system and prior")
@@ -1321,7 +974,6 @@ def make_backend(
             positivity=positivity,
             n_workers=n_workers,
             wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
             updater=updater,
             grid=grid,
             fault_injection=fault_injection,

@@ -156,8 +156,6 @@ def gpu_icd_reconstruct(
     backend: str = "inline",
     n_workers: int | None = None,
     wave_timeout: float | None = None,
-    pipeline: bool = False,
-    wave_batch: int | None = None,
     fault_injection: tuple | None = None,
     checkpoint=None,
     checkpoint_every: int = 1,
@@ -185,20 +183,13 @@ def gpu_icd_reconstruct(
     Instrumentation never changes iterates.
 
     ``backend`` routes each checkerboard batch through a
-    :mod:`repro.core.backends` executor (``"serial"`` / ``"thread"`` /
-    ``"process"``) instead of the inline batch loop; the batch becomes a
-    snapshot-isolated wave with ``stale_width=params.threadblocks_per_sv``
-    per SV.  All three backends are bit-identical to one another (the
-    iterates differ validly from inline — see
-    :func:`repro.core.psv_icd.psv_icd_reconstruct`).  ``n_workers`` and
-    ``wave_timeout`` configure the pool backends; ``fault_injection``
-    forwards a test-only worker-fault spec to them.  ``pipeline=True``
-    routes each checkerboard group's batches through the backend's
-    two-deep pipeline (merge of batch ``k-1`` overlaps compute of batch
-    ``k``; bit-identical to sequential batches on the same backend) —
-    batch spans are then emitted as ``wave`` spans by the backend instead
-    of driver-side ``kernel_batch`` spans.  ``wave_batch`` caps the pool
-    backends' shard size (default: one shard per worker).
+    :mod:`repro.core.backends` executor (``"serial"`` / ``"process"``)
+    instead of the inline batch loop; the batch becomes a snapshot-isolated
+    wave with ``stale_width=params.threadblocks_per_sv`` per SV.  Both
+    backends are bit-identical to one another (the iterates differ validly
+    from inline — see :func:`repro.core.psv_icd.psv_icd_reconstruct`).
+    ``n_workers`` and ``wave_timeout`` configure the process backend;
+    ``fault_injection`` forwards a test-only worker-fault spec to it.
 
     ``checkpoint`` / ``checkpoint_every`` / ``resume_from`` / ``sentinel``
     enable the resilience layer (disabled by default) with the same
@@ -225,8 +216,6 @@ def gpu_icd_reconstruct(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
-    if pipeline and backend == "inline":
-        raise ValueError("pipeline=True requires backend='serial'/'thread'/'process'")
     exec_backend = None
     if backend != "inline":
         if n_workers is None:
@@ -241,11 +230,10 @@ def gpu_icd_reconstruct(
             positivity=positivity,
             n_workers=n_workers,
             wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
             fault_injection=fault_injection,
         )
     elif fault_injection is not None:
-        raise ValueError("fault_injection requires a pool backend ('thread'/'process')")
+        raise ValueError("fault_injection requires a pool backend (backend='process')")
 
     n_voxels = geometry.n_voxels
     hooks = resilience_hooks(
@@ -276,52 +264,6 @@ def gpu_icd_reconstruct(
                 for group_id in range(4):
                     group_svs = [sv for sv in checkerboard[group_id] if sv in selected]
                     rng.shuffle(group_svs)
-                    if exec_backend is not None and pipeline:
-                        # Pipelined path: materialise the group's batch list
-                        # (replicating the threshold-skip logic and the
-                        # per-batch seed draws in the exact order the
-                        # sequential path performs them — same rng stream,
-                        # same iterates), then run the batches through the
-                        # backend's two-deep pipeline.
-                        batches = []
-                        for start in range(0, len(group_svs), params.batch_size):
-                            batch = group_svs[start : start + params.batch_size]
-                            if start > 0 and len(batch) < params.threshold and iteration > 1:
-                                trace.skipped_launches += 1
-                                rec.count("gpu.skipped_launches", 1)
-                                break
-                            batch_seed = int(rng.integers(0, 2**63 - 1))
-                            batches.append(
-                                (
-                                    batch,
-                                    make_wave_tasks(
-                                        batch_seed,
-                                        batch,
-                                        zero_skip=zero_skip and iteration > 1,
-                                        stale_width=params.threadblocks_per_sv,
-                                        kernel=kernel,
-                                    ),
-                                )
-                            )
-                        per_batch = exec_backend.run_waves(
-                            [tasks for _, tasks in batches], x, e, metrics=rec
-                        )
-                        for (batch, _), batch_stats in zip(batches, per_batch):
-                            for stats in batch_stats:
-                                selector.record_update(stats.sv_index, stats.total_abs_delta)
-                                iter_updates += stats.updates
-                            iter_svs += len(batch)
-                            if rec.enabled:
-                                rec.count("gpu.batches", 1)
-                                rec.count("gpu.svs", len(batch))
-                            trace.kernels.append(
-                                KernelTrace(
-                                    iteration=iteration,
-                                    group=group_id,
-                                    sv_stats=tuple(batch_stats),
-                                )
-                            )
-                        continue
                     for start in range(0, len(group_svs), params.batch_size):
                         batch = group_svs[start : start + params.batch_size]
                         if start > 0 and len(batch) < params.threshold and iteration > 1:

@@ -19,13 +19,13 @@ processed concurrently do not see each other's error-sinogram updates — and
 makes runs reproducible, which a true racy execution is not.
 
 For wall-clock-parallel execution of the same semantics, pass
-``backend="serial" | "thread" | "process"`` (see :mod:`repro.core.backends`):
-each wave is then handed to an execution backend with full snapshot
-isolation — the image ``x`` is snapshotted alongside ``e``, so SVs of one
-wave cannot see each other's image updates either.  The three backends are
-bit-identical to one another (and serve as each other's oracles); they
-differ from the inline emulation only in image-snapshot visibility and in
-how per-SV visit orders are seeded.
+``backend="serial" | "process"`` (see :mod:`repro.core.backends`): each
+wave is then handed to an execution backend with full snapshot isolation —
+the image ``x`` is snapshotted alongside ``e``, so SVs of one wave cannot
+see each other's image updates either.  The two backends are bit-identical
+to one another (and serve as each other's oracles); they differ from the
+inline emulation only in image-snapshot visibility and in how per-SV visit
+orders are seeded.
 """
 
 from __future__ import annotations
@@ -114,8 +114,6 @@ def psv_icd_reconstruct(
     backend: str = "inline",
     n_workers: int | None = None,
     wave_timeout: float | None = None,
-    pipeline: bool = False,
-    wave_batch: int | None = None,
     fault_injection: tuple | None = None,
     checkpoint=None,
     checkpoint_every: int = 1,
@@ -150,29 +148,21 @@ def psv_icd_reconstruct(
         attached to the result.  Instrumentation never changes iterates.
     backend:
         ``"inline"`` (default) runs the deterministic in-process wave
-        emulation above; ``"serial"`` / ``"thread"`` / ``"process"`` route
-        each wave through the corresponding :mod:`repro.core.backends`
-        executor with snapshot-isolation semantics.  All three backends are
-        bit-identical to one another; their iterates differ (validly) from
-        inline, which lets later SVs of a wave see earlier image updates.
+        emulation above; ``"serial"`` / ``"process"`` route each wave
+        through the corresponding :mod:`repro.core.backends` executor with
+        snapshot-isolation semantics.  Both backends are bit-identical to
+        one another; their iterates differ (validly) from inline, which
+        lets later SVs of a wave see earlier image updates.
     n_workers:
-        Pool size for the thread/process backends (default: ``n_cores``
-        capped at the machine's CPU count).
+        Pool size for the process backend (default: ``n_cores`` capped at
+        the machine's CPU count).
     wave_timeout:
-        Optional per-wave wall-clock budget in seconds for the pool
-        backends; overrunning SVs are recomputed inline (same iterates).
-    pipeline:
-        With a non-inline backend, run each iteration's waves through the
-        backend's two-deep pipeline (:meth:`run_waves`): while workers
-        compute wave ``k``, the parent merges wave ``k-1`` into ``x``/``e``
-        against double-buffered snapshot arenas.  Bit-identical to
-        sequential waves on the same backend.
-    wave_batch:
-        Optional shard-size cap for the pool backends (default: one shard
-        per worker); ignored by ``inline``/``serial``.
+        Optional per-wave wall-clock budget in seconds for the process
+        backend; overrunning SVs are recomputed inline (same iterates).
     fault_injection:
         Test-only :meth:`repro.resilience.FaultInjector.worker_fault` spec
-        forwarded to the pool backends (crash/stall workers on chosen SVs).
+        forwarded to the process backend (crash/stall workers on chosen
+        SVs).
     checkpoint, checkpoint_every, resume_from, sentinel:
         Resilience layer (disabled by default) — identical semantics to
         :func:`repro.core.icd.icd_reconstruct`; checkpoints additionally
@@ -197,8 +187,6 @@ def psv_icd_reconstruct(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
-    if pipeline and backend == "inline":
-        raise ValueError("pipeline=True requires backend='serial'/'thread'/'process'")
     exec_backend = None
     if backend != "inline":
         if n_workers is None:
@@ -213,11 +201,10 @@ def psv_icd_reconstruct(
             positivity=positivity,
             n_workers=n_workers,
             wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
             fault_injection=fault_injection,
         )
     elif fault_injection is not None:
-        raise ValueError("fault_injection requires a pool backend ('thread'/'process')")
+        raise ValueError("fault_injection requires a pool backend (backend='process')")
 
     n_voxels = geometry.n_voxels
     hooks = resilience_hooks(
@@ -244,38 +231,7 @@ def psv_icd_reconstruct(
             selected = selector.select(iteration, rng)
             iter_updates = 0
             with rec.span("iteration", index=iteration):
-                if exec_backend is not None and pipeline:
-                    # Pipelined path: pre-draw every wave's seed (same rng
-                    # consumption order/count as the sequential path below,
-                    # so iterates match bit-for-bit), then hand the whole
-                    # iteration's wave list to the backend.  Selector
-                    # bookkeeping moves after run_waves — record_update is
-                    # only read at the next iteration's select().
-                    wave_list = []
-                    for wave_start in range(0, selected.size, n_cores):
-                        wave_svs = selected[wave_start : wave_start + n_cores]
-                        wave_seed = int(rng.integers(0, 2**63 - 1))
-                        wave_list.append(
-                            make_wave_tasks(
-                                wave_seed,
-                                wave_svs,
-                                zero_skip=zero_skip and iteration > 1,
-                                stale_width=1,
-                                kernel=kernel,
-                            )
-                        )
-                    per_wave = exec_backend.run_waves(wave_list, x, e, metrics=rec)
-                    for wave_stats in per_wave:
-                        for stats in wave_stats:
-                            selector.record_update(stats.sv_index, stats.total_abs_delta)
-                            iter_updates += stats.updates
-                        trace.waves.append(
-                            PSVWaveTrace(iteration=iteration, sv_stats=tuple(wave_stats))
-                        )
-                    wave_range = ()  # waves already executed
-                else:
-                    wave_range = range(0, selected.size, n_cores)
-                for wave_start in wave_range:
+                for wave_start in range(0, selected.size, n_cores):
                     wave_svs = selected[wave_start : wave_start + n_cores]
                     with rec.span("wave", svs=len(wave_svs)):
                         if exec_backend is not None:

@@ -281,10 +281,11 @@ class SliceUpdater:
         ``numba`` kernels execute over.  Imported lazily to keep this module
         free of the (optional) compiled-kernel machinery.
 
-        Thread-safe: concurrent wave workers (``ThreadBackend``) race to the
-        first call, and an unguarded lazy build would hand one of them a
-        half-initialised context.  Double-checked locking keeps the hot
-        (already-built) path at one attribute read.
+        Thread-safe: threads that share one updater (e.g. several backends
+        driven from a thread pool) race to the first call, and an unguarded
+        lazy build would hand one of them a half-initialised context.
+        Double-checked locking keeps the hot (already-built) path at one
+        attribute read.
         """
         if self._context is None:
             with self._context_lock:

@@ -7,7 +7,7 @@
     python -m repro all | suite
     python -m repro tune [--zero-skip 0.4]
     python -m repro profile [--driver all] [--equits 2] --metrics-json out.json
-    python -m repro profile --backend process [--workers N] [--pipeline] [--wave-batch N]
+    python -m repro profile --backend process [--workers N]
     python -m repro profile --checkpoint-dir ckpts [--checkpoint-every K] [--resume]
     python -m repro serve QUEUE_DIR [--workers 2] [--drain]
     python -m repro submit QUEUE_DIR --driver icd --scan scan.npz [--priority 5]
@@ -42,6 +42,7 @@ import sys
 import time
 
 import repro
+from repro.core.backends import BACKENDS
 from repro.harness.experiments import (
     ExperimentContext,
     run_fig5,
@@ -130,20 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="equits per instrumented run (default 2)")
     profile.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="write the span/counter report as JSON")
-    profile.add_argument("--backend", choices=["inline", "serial", "thread", "process"],
-                         default="inline",
+    profile.add_argument("--backend", choices=BACKENDS, default="inline",
                          help="wave execution backend for the PSV/GPU drivers "
                          "(default inline; see repro.core.backends)")
     profile.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="pool size for --backend thread/process "
+                         help="pool size for --backend process "
                          "(default: driver-chosen)")
-    profile.add_argument("--pipeline", action="store_true",
-                         help="overlap merge of wave k-1 with compute of "
-                         "wave k (requires a non-inline --backend; "
-                         "bit-identical iterates)")
-    profile.add_argument("--wave-batch", type=int, default=None, metavar="N",
-                         help="SVs per worker shard for pool backends "
-                         "(default: one shard per worker)")
     profile.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="persist resumable run state under DIR/<driver> "
                          "(see repro.resilience)")
@@ -413,12 +406,7 @@ def _run_profile(args) -> None:
     common = dict(max_equits=args.equits, seed=args.seed, track_cost=False)
     # The sequential ICD driver has no wave structure, so --backend only
     # applies to the PSV/GPU drivers.
-    if args.pipeline and args.backend == "inline":
-        raise UsageError("--pipeline requires --backend serial/thread/process")
-    wave = dict(
-        backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, wave_batch=args.wave_batch,
-    )
+    wave = dict(backend=args.backend, n_workers=args.workers)
 
     def resilience(driver_name: str) -> dict:
         """Per-driver checkpoint/resume kwargs (empty when not requested)."""
@@ -464,8 +452,6 @@ def _run_profile(args) -> None:
         "seed": args.seed,
         "backend": args.backend,
         "workers": args.workers,
-        "pipeline": args.pipeline,
-        "wave_batch": args.wave_batch,
         "drivers": {},
     }
     for name, run in drivers.items():

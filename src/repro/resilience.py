@@ -473,11 +473,11 @@ class FaultInjector:
     def worker_fault(
         mode: str, sv_indices, *, stall_seconds: float = 5.0
     ) -> tuple[str, tuple[int, ...], float]:
-        """A worker-fault spec for the execution backends.
+        """A worker-fault spec for the process execution backend.
 
-        ``mode`` is ``"crash"`` (the worker dies/raises while processing a
-        listed SV) or ``"stall"`` (it sleeps ``stall_seconds``, tripping
-        the wave timeout).  Pass the returned tuple as the backends'
+        ``mode`` is ``"crash"`` (the worker process dies on a listed SV) or
+        ``"stall"`` (it sleeps ``stall_seconds``, tripping the wave
+        timeout).  Pass the returned tuple as the backend's
         ``fault_injection`` argument.
         """
         if mode not in ("crash", "stall"):

@@ -90,12 +90,12 @@ def cache_key_defaults(
 ) -> dict[str, Any]:
     """The ``driver_defaults`` contribution to a job's result-cache key.
 
-    Pool/pipeline/batching defaults are iterate-neutral (the cross-backend
-    contract), but ``backend`` picks between two execution *models* whose
-    iterates validly differ: the drivers' built-in inline emulation versus
-    the snapshot-isolated backends (serial/thread/process — bit-identical
-    to each other).  When the defaults flip a job to the snapshot model,
-    the key must record it, or a fleet that changes
+    Pool defaults (``n_workers``, ``wave_timeout``) are iterate-neutral (the
+    cross-backend contract), but ``backend`` picks between two execution
+    *models* whose iterates validly differ: the drivers' built-in inline
+    emulation versus the snapshot-isolated backends (serial/process —
+    bit-identical to each other).  When the defaults flip a job to the
+    snapshot model, the key must record it, or a fleet that changes
     ``driver_defaults["backend"]`` against a persistent ``cache_dir``
     would silently be served results computed under the other model.
 
@@ -177,16 +177,15 @@ def run_job(
     (none yet = fresh start).  Returns the driver's result object.
 
     ``driver_defaults`` supplies service-level execution defaults (e.g.
-    ``{"backend": "process", "n_workers": 4, "pipeline": True}``).  Spec
-    params always win, and keys the target driver doesn't accept are
-    dropped (``icd`` has no wave structure, so backend knobs only reach
-    the PSV/GPU drivers).  Iterate-neutral defaults
-    (pool-backend/pipeline/batching choices, per the cross-backend
-    contract) don't enter the result-cache key; the one default that does
-    change iterates — ``backend`` flipping a job from the inline to the
-    snapshot-isolated execution model — is folded into the key by the
-    service (see :func:`cache_key_defaults`), so fleets on different
-    models never share cache entries.
+    ``{"backend": "process", "n_workers": 4}``).  Spec params always win,
+    and keys the target driver doesn't accept are dropped (``icd`` has no
+    wave structure, so backend knobs only reach the PSV/GPU drivers).
+    Iterate-neutral defaults (pool sizing and timeouts, per the
+    cross-backend contract) don't enter the result-cache key; the one
+    default that does change iterates — ``backend`` flipping a job from
+    the inline to the snapshot-isolated execution model — is folded into
+    the key by the service (see :func:`cache_key_defaults`), so fleets on
+    different models never share cache entries.
     """
     driver_fn = _DRIVER_FNS[spec.driver]
     system = system_for(spec.scan.geometry)

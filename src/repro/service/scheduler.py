@@ -124,8 +124,8 @@ class Scheduler:
     driver_defaults:
         Optional execution defaults merged *under* every job's spec params
         (spec wins; keys a driver doesn't accept are dropped) — e.g.
-        ``{"backend": "process", "n_workers": 4, "pipeline": True}`` runs
-        the whole fleet on pipelined process pools.  A ``backend`` default
+        ``{"backend": "process", "n_workers": 4}`` runs the whole fleet on
+        process pools.  A ``backend`` default
         that flips jobs to the snapshot-isolated execution model is folded
         into the result-cache key by the service (see
         :func:`~repro.service.runner.cache_key_defaults`).

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from repro.core.backends import (
     ProcessBackend,
     SerialBackend,
     SVWaveTask,
-    ThreadBackend,
     make_backend,
     make_wave_tasks,
     run_wave,
@@ -85,29 +86,6 @@ class TestSerialBackend:
         assert cost1 < cost0
 
 
-class TestThreadBackend:
-    def test_matches_serial(self, state, scan32):
-        """Thread execution must produce bit-identical results to serial
-        (snapshot isolation + deterministic merge order)."""
-        updater, grid = state
-        serial = SerialBackend(updater, grid)
-        threaded = ThreadBackend(updater, grid, n_workers=4)
-        try:
-            xs, es = fresh(scan32, updater)
-            run_wave(serial, [0, 3, 5, 9, 12], xs, es)
-            xt, et = fresh(scan32, updater)
-            run_wave(threaded, [0, 3, 5, 9, 12], xt, et)
-            np.testing.assert_array_equal(xs, xt)
-            np.testing.assert_array_equal(es, et)
-        finally:
-            threaded.close()
-
-    def test_invalid_workers(self, state):
-        updater, grid = state
-        with pytest.raises(ValueError):
-            ThreadBackend(updater, grid, n_workers=0)
-
-
 class TestProcessBackend:
     def test_matches_serial(self, state, scan32, system32):
         updater, grid = state
@@ -125,9 +103,13 @@ class TestProcessBackend:
         finally:
             backend.close()
 
+    def test_invalid_workers(self, scan32, system32):
+        with pytest.raises(ValueError):
+            ProcessBackend(scan32, system32, default_prior(), sv_side=8, n_workers=0)
+
 
 class TestCrossBackendEquivalence:
-    """Serial == Thread == Process, bit-identical, for every kernel flavor."""
+    """Serial == Process, bit-identical, for every kernel flavor."""
 
     WAVE = [0, 3, 5, 9, 12]
 
@@ -135,7 +117,7 @@ class TestCrossBackendEquivalence:
     def test_matrix(self, state, scan32, system32, kernel):
         updater, grid = state
         reference = None
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             backend = make_backend(
                 name,
                 updater=updater,
@@ -154,39 +136,56 @@ class TestCrossBackendEquivalence:
                 np.testing.assert_array_equal(reference[0], x, err_msg=name)
                 np.testing.assert_array_equal(reference[1], e, err_msg=name)
 
-    def test_thread_stress_vectorized(self, state, scan32):
-        """Wide thread waves with the vectorized kernel stay bit-identical.
+    def test_thread_stress_vectorized(self, state, scan32, system32):
+        """Threads sharing one updater replay the sequential iterates exactly.
 
         Regression test for the shared-KernelContext race: the vectorized
-        kernel's scratch buffers were shared across pool threads, so wide
-        waves silently corrupted theta1/theta2.  Scratch is now per-thread;
-        repeated wide waves must replay the serial iterates exactly.
+        kernel's scratch buffers were shared across threads, so concurrent
+        wide waves silently corrupted theta1/theta2.  Scratch is now
+        per-thread and the lazy context build is locked.  Two serial
+        backends share one fresh updater (context not yet built) and run
+        repeated wide waves on their own ``x``/``e`` from a thread pool;
+        both must end bit-identical to a sequential run.
         """
-        updater, grid = state
+        _, grid = state
         all_svs = list(range(grid.n_svs))
-        xs, es = fresh(scan32, updater)
-        with SerialBackend(updater, grid) as serial:
+
+        def sweeps(backend, start=None):
+            x, e = fresh(scan32, backend.updater)
+            if start is not None:
+                start.wait()
             for sweep in range(3):
-                run_wave(serial, all_svs, xs, es, base_seed=sweep, kernel="vectorized")
-        xt, et = fresh(scan32, updater)
-        with ThreadBackend(updater, grid, n_workers=8) as threaded:
-            for sweep in range(3):
-                run_wave(threaded, all_svs, xt, et, base_seed=sweep, kernel="vectorized")
-        np.testing.assert_array_equal(xs, xt)
-        np.testing.assert_array_equal(es, et)
+                run_wave(backend, all_svs, x, e, base_seed=sweep, kernel="vectorized")
+            return x, e
+
+        nb = Neighborhood(system32.geometry.n_pixels)
+        with SerialBackend(SliceUpdater(system32, scan32, default_prior(), nb), grid) as ref:
+            xs, es = sweeps(ref)
+        shared = SliceUpdater(system32, scan32, default_prior(), nb)
+        start = threading.Barrier(2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(sweeps, SerialBackend(shared, grid), start) for _ in range(2)
+            ]
+            outputs = [f.result() for f in futures]
+        for xt, et in outputs:
+            np.testing.assert_array_equal(xs, xt)
+            np.testing.assert_array_equal(es, et)
 
 
 class TestLifecycle:
-    def test_close_idempotent(self, state):
-        updater, grid = state
-        backend = ThreadBackend(updater, grid, n_workers=2)
+    def test_close_idempotent(self, scan32, system32):
+        backend = ProcessBackend(scan32, system32, default_prior(), sv_side=8, n_workers=2)
         backend.close()
         backend.close()  # second close is a no-op, not an error
         assert backend.closed
 
-    def test_context_manager(self, state, scan32):
+    def test_context_manager(self, state, scan32, system32):
         updater, grid = state
-        with ThreadBackend(updater, grid, n_workers=2) as backend:
+        with ProcessBackend(
+            scan32, system32, default_prior(), sv_side=8, n_workers=2,
+            updater=updater, grid=grid,
+        ) as backend:
             x, e = fresh(scan32, updater)
             run_wave(backend, [0], x, e)
         assert backend.closed
@@ -256,6 +255,19 @@ class TestSharedMemoryTransport:
         finally:
             backend.close()
 
+    def test_process_arenas_persist_across_waves(self, state, scan32, system32):
+        """Three same-shape waves reuse the same segments: no churn."""
+        updater, grid = state
+        backend = ProcessBackend(scan32, system32, default_prior(), sv_side=8, n_workers=2)
+        with backend:
+            x, e = fresh(scan32, updater)
+            run_wave(backend, [0, 3], x, e, base_seed=1)
+            names_first = set(backend.segment_names())
+            assert names_first  # snapshot + result arenas are live
+            for seed in (2, 3):
+                run_wave(backend, [0, 3], x, e, base_seed=seed)
+            assert set(backend.segment_names()) == names_first
+
 
 class TestFaultTolerance:
     def test_worker_crash_falls_back_inline(self, state, scan32, system32):
@@ -271,7 +283,7 @@ class TestFaultTolerance:
             default_prior(),
             sv_side=8,
             n_workers=2,
-            _fault_injection=("crash", (6,), 0.0),
+            fault_injection=("crash", (6,), 0.0),
         )
         try:
             xp, ep = fresh(scan32, updater)
@@ -297,7 +309,7 @@ class TestFaultTolerance:
             sv_side=8,
             n_workers=2,
             wave_timeout=0.5,
-            _fault_injection=("stall", (7,), 5.0),
+            fault_injection=("stall", (7,), 5.0),
         )
         try:
             xp, ep = fresh(scan32, updater)
@@ -332,7 +344,7 @@ class TestFaultTolerance:
             sv_side=8,
             n_workers=2,
             wave_timeout=0.5,
-            _fault_injection=("stall", (7,), 5.0),
+            fault_injection=("stall", (7,), 5.0),
         )
         try:
             xp, ep = fresh(scan32, updater)
@@ -341,100 +353,13 @@ class TestFaultTolerance:
             run_wave(backend, waves[1], xp, ep, base_seed=10)  # stalls, times out
             assert backend.inline_fallbacks >= 1
             retired = names_before - set(backend.segment_names())
-            assert len(retired) == 1  # the result arena, not the snapshot slot
+            assert len(retired) == 1  # the result arena, not the snapshot arena
             for seed, wave in enumerate(waves[2:], start=11):
                 run_wave(backend, wave, xp, ep, base_seed=seed)
             np.testing.assert_array_equal(xs, xp)
             np.testing.assert_array_equal(es, ep)
         finally:
             backend.close()
-
-
-class TestPipelinedWaves:
-    """``run_waves`` (persistent arenas + two-deep pipeline) vs sequential."""
-
-    WAVES = [[0, 3, 5], [1, 6, 10], [2, 7, 12], [4, 9, 15]]
-
-    def _schedule(self):
-        return [
-            make_wave_tasks(10 + k, wave, kernel="vectorized")
-            for k, wave in enumerate(self.WAVES)
-        ]
-
-    def _sequential_reference(self, state, scan32):
-        updater, grid = state
-        x, e = fresh(scan32, updater)
-        with SerialBackend(updater, grid) as serial:
-            for tasks in self._schedule():
-                serial.run_wave(tasks, x, e)
-        return x, e
-
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
-    def test_run_waves_matches_sequential(self, state, scan32, system32, name):
-        """Four pipelined waves replay the sequential iterates bit-for-bit.
-
-        The pipeline only defers applying wave k's deltas to the caller's
-        arrays; each wave still starts from the exact post-merge state of
-        its predecessor — so there is nothing for floats to disagree on.
-        """
-        updater, grid = state
-        x_ref, e_ref = self._sequential_reference(state, scan32)
-        backend = make_backend(
-            name, updater=updater, grid=grid, scan=scan32, system=system32,
-            prior=default_prior(), n_workers=2,
-        )
-        with backend:
-            x, e = fresh(scan32, updater)
-            backend.run_waves(self._schedule(), x, e)
-        np.testing.assert_array_equal(x_ref, x, err_msg=name)
-        np.testing.assert_array_equal(e_ref, e, err_msg=name)
-
-    def test_process_arenas_persist_across_waves(self, state, scan32, system32):
-        """Three same-shape waves reuse the same segments: no churn."""
-        updater, grid = state
-        backend = ProcessBackend(scan32, system32, default_prior(), sv_side=8, n_workers=2)
-        with backend:
-            x, e = fresh(scan32, updater)
-            run_wave(backend, [0, 3], x, e, base_seed=1)
-            names_first = set(backend.segment_names())
-            assert names_first  # snapshot + result arenas are live
-            for seed in (2, 3):
-                run_wave(backend, [0, 3], x, e, base_seed=seed)
-            assert set(backend.segment_names()) == names_first
-
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    @pytest.mark.parametrize("wave_batch", [1, 2])
-    def test_wave_batch_equivalence(self, state, scan32, system32, name, wave_batch):
-        """Shard size cannot change iterates (tasks carry their own seeds)."""
-        updater, grid = state
-        xs, es = fresh(scan32, updater)
-        with SerialBackend(updater, grid) as serial:
-            run_wave(serial, [0, 3, 5, 9, 12], xs, es, base_seed=11)
-        backend = make_backend(
-            name, updater=updater, grid=grid, scan=scan32, system=system32,
-            prior=default_prior(), n_workers=2, wave_batch=wave_batch,
-        )
-        with backend:
-            x, e = fresh(scan32, updater)
-            run_wave(backend, [0, 3, 5, 9, 12], x, e, base_seed=11)
-        np.testing.assert_array_equal(xs, x)
-        np.testing.assert_array_equal(es, e)
-
-    def test_pipelined_spans_fire(self, state, scan32):
-        updater, grid = state
-        rec = MetricsRecorder()
-        with ThreadBackend(updater, grid, n_workers=2) as backend:
-            x, e = fresh(scan32, updater)
-            backend.run_waves(self._schedule(), x, e, metrics=rec)
-        totals = rec.span_totals()
-        assert {"wave", "extract", "update", "merge"} <= set(totals)
-        assert totals["wave"]["count"] == len(self.WAVES)
-
-    def test_empty_schedule(self, state, scan32):
-        updater, grid = state
-        with ThreadBackend(updater, grid, n_workers=2) as backend:
-            x, e = fresh(scan32, updater)
-            assert backend.run_waves([], x, e) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shm mount")
@@ -450,7 +375,7 @@ class TestShmBookkeeping:
         updater, grid = state
         backend = ProcessBackend(
             scan32, system32, default_prior(), sv_side=8, n_workers=2,
-            _fault_injection=("crash", (6,), 0.0),
+            fault_injection=("crash", (6,), 0.0),
         )
         x, e = fresh(scan32, updater)
         run_wave(backend, [1, 6, 10], x, e, base_seed=4)
@@ -474,7 +399,7 @@ class TestShmBookkeeping:
 
 
 class TestDriverIntegration:
-    """The backend path of the PSV/GPU drivers: all backends bit-identical."""
+    """The backend path of the PSV/GPU drivers: both backends bit-identical."""
 
     def test_psv_backends_bit_identical(self, scan32, system32):
         from repro.core import psv_icd_reconstruct
@@ -484,10 +409,9 @@ class TestDriverIntegration:
             kernel="vectorized",
         )
         images = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             res = psv_icd_reconstruct(scan32, system32, backend=backend, n_workers=2, **kw)
             images[backend] = res.image
-        np.testing.assert_array_equal(images["serial"], images["thread"])
         np.testing.assert_array_equal(images["serial"], images["process"])
 
     def test_gpu_backends_bit_identical(self, scan32, system32):
@@ -501,63 +425,22 @@ class TestDriverIntegration:
         prc = gpu_icd_reconstruct(scan32, system32, backend="process", n_workers=2, **kw)
         np.testing.assert_array_equal(ser.image, prc.image)
 
-    def test_psv_pipeline_bit_identical(self, scan32, system32):
-        from repro.core import psv_icd_reconstruct
-
-        kw = dict(
-            sv_side=8, n_cores=4, max_equits=1.0, track_cost=False, seed=3,
-            kernel="vectorized",
-        )
-        ref = psv_icd_reconstruct(scan32, system32, backend="serial", **kw).image
-        for backend in ("serial", "thread", "process"):
-            res = psv_icd_reconstruct(
-                scan32, system32, backend=backend, n_workers=2, pipeline=True, **kw
-            )
-            np.testing.assert_array_equal(ref, res.image, err_msg=backend)
-
-    def test_gpu_pipeline_bit_identical(self, scan32, system32):
-        from repro.core import GPUICDParams, gpu_icd_reconstruct
-
-        kw = dict(
-            params=GPUICDParams(sv_side=16, batch_size=2),
-            max_equits=1.0, track_cost=False, seed=3, kernel="vectorized",
-        )
-        ref = gpu_icd_reconstruct(scan32, system32, backend="serial", **kw)
-        res = gpu_icd_reconstruct(
-            scan32, system32, backend="process", n_workers=2, pipeline=True, **kw
-        )
-        np.testing.assert_array_equal(ref.image, res.image)
-        # The pipelined path must replicate the batch bookkeeping too.
-        assert ref.trace.n_kernels == res.trace.n_kernels
-        assert ref.trace.total_updates == res.trace.total_updates
-
-    def test_pipeline_requires_pool_backend(self, scan32, system32):
-        from repro.core import GPUICDParams, gpu_icd_reconstruct, psv_icd_reconstruct
-
-        with pytest.raises(ValueError, match="pipeline"):
-            psv_icd_reconstruct(scan32, system32, backend="inline", pipeline=True)
-        with pytest.raises(ValueError, match="pipeline"):
-            gpu_icd_reconstruct(
-                scan32, system32, params=GPUICDParams(sv_side=16),
-                backend="inline", pipeline=True,
-            )
-
-    def test_driver_wave_batch_bit_identical(self, scan32, system32):
-        from repro.core import psv_icd_reconstruct
-
-        kw = dict(
-            sv_side=8, n_cores=4, max_equits=1.0, track_cost=False, seed=3,
-            kernel="vectorized", backend="thread", n_workers=2,
-        )
-        ref = psv_icd_reconstruct(scan32, system32, **kw).image
-        res = psv_icd_reconstruct(scan32, system32, wave_batch=1, **kw).image
-        np.testing.assert_array_equal(ref, res)
-
     def test_unknown_backend_rejected(self, scan32, system32):
         from repro.core import psv_icd_reconstruct
 
         with pytest.raises(ValueError):
             psv_icd_reconstruct(scan32, system32, backend="cuda")
+
+    def test_thread_backend_rejected(self, scan32, system32):
+        """There is no thread backend; the error lists the valid names."""
+        from repro.core import GPUICDParams, gpu_icd_reconstruct, psv_icd_reconstruct
+
+        with pytest.raises(ValueError, match="'inline', 'serial', 'process'"):
+            psv_icd_reconstruct(scan32, system32, backend="thread")
+        with pytest.raises(ValueError, match="'inline', 'serial', 'process'"):
+            gpu_icd_reconstruct(
+                scan32, system32, params=GPUICDParams(sv_side=16), backend="thread"
+            )
 
     def test_backend_spans_fire_in_driver(self, scan32, system32):
         from repro.core import psv_icd_reconstruct

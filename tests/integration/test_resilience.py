@@ -216,10 +216,10 @@ class TestResumeBitIdentity:
             )
             assert_same_result(ref, res)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("driver", ["psv_icd", "gpu_icd"])
     def test_backend_matrix(self, driver, backend, scan16m, system16m, tmp_path):
-        """Pool backends resume bit-identically too (state is backend-free)."""
+        """The process backend resumes bit-identically too (state is backend-free)."""
         ref = run_driver(driver, scan16m, system16m, backend=backend, n_workers=2)
         mgr = CheckpointManager(tmp_path / driver, keep=50)
         run_driver(
@@ -232,9 +232,9 @@ class TestResumeBitIdentity:
         assert_same_result(ref, res)
 
     def test_cross_backend_resume(self, scan16m, system16m, tmp_path):
-        """A serial-backend checkpoint resumes under a thread pool.
+        """A serial-backend checkpoint resumes under a process pool.
 
-        Pool backends (serial/thread/process) consume the RNG identically
+        The snapshot backends (serial/process) consume the RNG identically
         (one wave-seed draw per wave), so checkpoints are interchangeable
         between them.  The inline path uses a different draw pattern and is
         deliberately not part of this equivalence class.
@@ -243,7 +243,7 @@ class TestResumeBitIdentity:
         mgr = CheckpointManager(tmp_path / "x", keep=50)
         run_driver("psv_icd", scan16m, system16m, backend="serial", checkpoint=mgr)
         res = run_driver(
-            "psv_icd", scan16m, system16m, backend="thread", n_workers=2,
+            "psv_icd", scan16m, system16m, backend="process", n_workers=2,
             resume_from=mgr.paths()[0],
         )
         assert_same_result(ref, res)
@@ -405,12 +405,12 @@ class TestIntegritySentinel:
 # Worker faults through the drivers
 # ----------------------------------------------------------------------
 class TestWorkerFaults:
-    def test_thread_worker_crash_recovers_bit_identically(self, scan16m, system16m):
+    def test_process_worker_crash_recovers_bit_identically(self, scan16m, system16m):
         ref = psv_icd_reconstruct(
             scan16m, system16m, sv_side=6, backend="serial", **COMMON
         )
         res = psv_icd_reconstruct(
-            scan16m, system16m, sv_side=6, backend="thread", n_workers=2,
+            scan16m, system16m, sv_side=6, backend="process", n_workers=2,
             fault_injection=FaultInjector.worker_fault("crash", [0, 3]),
             **COMMON,
         )

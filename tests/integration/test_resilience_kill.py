@@ -53,9 +53,9 @@ if driver == "icd":
 elif driver == "psv_icd":
     psv_icd_reconstruct(scan, system, sv_side=6, checkpoint=manager,
                         sentinel=sentinel, **common)
-elif driver == "psv_pipe":
+elif driver == "psv_process":
     psv_icd_reconstruct(scan, system, sv_side=6, backend="process", n_workers=2,
-                        pipeline=True, checkpoint=manager, sentinel=sentinel, **common)
+                        checkpoint=manager, sentinel=sentinel, **common)
 else:
     gpu_icd_reconstruct(scan, system, params=GPUICDParams(sv_side=8, batch_size=4),
                         checkpoint=manager, sentinel=sentinel, **common)
@@ -79,13 +79,13 @@ def run_driver(driver, scan, system, **kwargs):
         return icd_reconstruct(scan, system, **COMMON, **kwargs)
     if driver == "psv_icd":
         return psv_icd_reconstruct(scan, system, sv_side=6, **COMMON, **kwargs)
-    if driver == "psv_pipe":
-        # SIGKILL-mid-pipeline drill: the kill lands while the process pool
-        # and its shared-memory arenas are live; the resumed run must still
-        # replay the uninterrupted pipelined run bit-for-bit.
+    if driver == "psv_process":
+        # SIGKILL-mid-wave drill: the kill lands while the process pool and
+        # its shared-memory arenas are live; the resumed run must still
+        # replay the uninterrupted process-backend run bit-for-bit.
         return psv_icd_reconstruct(
             scan, system, sv_side=6, backend="process", n_workers=2,
-            pipeline=True, **COMMON, **kwargs,
+            **COMMON, **kwargs,
         )
     params = GPUICDParams(sv_side=8, batch_size=4)
     return gpu_icd_reconstruct(scan, system, params=params, **COMMON, **kwargs)
@@ -99,7 +99,7 @@ def _shm_segments() -> set[str]:
         return set()
 
 
-@pytest.mark.parametrize("driver", ["icd", "psv_icd", "psv_pipe", "gpu_icd"])
+@pytest.mark.parametrize("driver", ["icd", "psv_icd", "psv_process", "gpu_icd"])
 def test_sigkill_then_resume_bit_identical(driver, scan16m, system16m, tmp_path):
     ckpt_dir = tmp_path / driver
     src_dir = str(Path(__file__).resolve().parents[2] / "src")

@@ -185,7 +185,7 @@ class TestDriverDefaults:
     """Service-level execution defaults flow into the drivers correctly."""
 
     PSV_PARAMS = {"max_equits": 1.0, "sv_side": 6, "track_cost": False}
-    DEFAULTS = {"backend": "thread", "n_workers": 2, "pipeline": True}
+    DEFAULTS = {"backend": "process", "n_workers": 2}
 
     def test_defaults_reach_psv_driver(self, scan16, system16):
         from repro.core.psv_icd import psv_icd_reconstruct
@@ -211,10 +211,9 @@ class TestDriverDefaults:
 
         params = {**self.PSV_PARAMS, "backend": "inline"}
         with ReconstructionService(n_workers=1, driver_defaults=self.DEFAULTS) as svc:
-            # pipeline=True from the defaults would reject backend="inline";
-            # override it in the spec too, proving spec params win key-by-key.
-            job_id = svc.submit(JobSpec(driver="psv_icd", scan=scan16,
-                                        params={**params, "pipeline": False}))
+            # The spec's backend="inline" must beat the process default
+            # (the image would differ otherwise): spec params win by key.
+            job_id = svc.submit(JobSpec(driver="psv_icd", scan=scan16, params=params))
             via_service = svc.result(job_id, timeout=300)
         direct = psv_icd_reconstruct(scan16, system16, **params)
         np.testing.assert_array_equal(via_service.image, direct.image)
