@@ -16,9 +16,13 @@ driver accepts ``kernel=``:
     iterates bit-for-bit.
 ``vectorized``
     Pure NumPy, dependency-light.  Footprint index/weight views are hoisted
-    once per run, neighborhoods are padded to fixed width 8, theta1 gathers
-    are batched per bulk-synchronous wave, and the surrogate solve runs as
-    straight-line scalar arithmetic.
+    once per run and neighborhoods are padded to fixed width 8.  The
+    sequential paths (full sweep, ``stale_width == 1``) solve the surrogate
+    as straight-line scalar arithmetic; a ``stale_width > 1`` wave runs as a
+    fixed number of array operations over the whole wave — batched theta1
+    gather, ``(k, 8)`` surrogate solve with ``math.pow`` as the only scalar
+    step, and one ordered ``np.subtract.at`` scatter — off per-SV padded
+    tables, never the whole-image :class:`_FastPack`.
 ``numba``
     A ``@njit(cache=True)`` kernel over the same flat CSC arrays (optional
     dependency: ``pip install repro[fast]``), with a ``prange`` wave kernel
@@ -50,12 +54,21 @@ this design):
   value, appending ``±0.0`` terms after the real ones.
 * Scalar-array products against float32 data are forced to float64 loops
   (NEP 50 would otherwise compute ``float32 * python_float`` in float32).
+* Elementwise ``+ - * /`` and ``abs`` are correctly rounded, so a ``(k, 8)``
+  array expression reproduces the scalar one per element.  The scalar
+  surrogate sums start from a literal ``0.0``; a row ``cumsum`` starts from
+  the first term instead, and the two differ only when every term is
+  ``-0.0`` (``-0.0`` vs ``+0.0``), so the wave solve adds ``0.0`` to its
+  ``cumsum`` totals.  ``np.subtract.at`` applies repeated indices one after
+  another in index order, so one call over a wave's concatenated
+  footprints equals the per-voxel ``g -= a * delta`` writes in wave order.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import repeat
 
 import numpy as np
 
@@ -208,53 +221,74 @@ class _SVPrep:
     """Per-SuperVoxel hoisted state for the SVB-addressed kernels.
 
     ``fp_views`` are per-member views into ``sv.svb_indices`` (int64, so
-    fancy indexing skips the index-cast pass); ``fp_lens`` their lengths as
-    a Python list; ``idx_pad``/``wa_pad`` the rectangular (member, Lmax)
-    tables the wave-batched theta1 gather runs over (built lazily — only
-    the ``stale_width > 1`` path needs them).  ``wa_pad`` holds float64
-    copies of the fused products: identical values (float32 -> float64 is
-    exact), but the batched multiply then runs a pure float64 loop.
+    fancy indexing skips the index-cast pass) and ``fp_lens`` their lengths
+    as a Python list — the ``stale_width == 1`` path's fuel.  The wave path
+    runs off member-indexed tables instead, built lazily by
+    :meth:`build_pads`:
+
+    * ``nb_gather`` (member, 9): the voxel's image index, then its 8
+      padded neighbor indices — one gather reads a wave's whole state;
+    * ``nb_w`` (member, 8) and ``theta2`` (member,): the neighbor weights
+      and theta2 of each member;
+    * ``idx_pad`` (member, Lmax): SVB indices of each footprint, zero-padded;
+    * ``wa_pad``/``a_pad``: float64 copies of the fused products and of
+      ``A`` in the same layout — identical values (float32 -> float64 is
+      exact), but the batched products then run pure float64 loops;
+    * ``filled``: which ``idx_pad`` cells hold a real entry, and
+      ``nonempty``: which members have a footprint at all.
     """
 
-    __slots__ = ("sv", "fp_views", "fp_lens", "idx_pad", "wa_pad")
+    __slots__ = (
+        "sv", "fp_views", "fp_lens", "nb_gather", "nb_w", "theta2",
+        "idx_pad", "wa_pad", "a_pad", "filled", "nonempty",
+    )
 
     def __init__(self, sv) -> None:
         self.sv = sv
         self.fp_views = _segments(sv.svb_indices, sv.member_offsets.tolist())
         self.fp_lens = np.diff(sv.member_offsets).tolist()
         self.idx_pad = None
-        self.wa_pad = None
 
     def build_pads(self, ctx: "KernelContext") -> None:
-        """Build the padded theta1 tables (idempotent, thread-safe)."""
+        """Build the wave tables (idempotent, thread-safe)."""
         if self.idx_pad is not None:
             return
         with ctx._lock:
             if self.idx_pad is not None:
                 return
             sv = self.sv
+            voxels = sv.voxels
+            self.nb_gather = np.column_stack((voxels, ctx.nb_idx[voxels]))
+            self.nb_w = ctx.nb_w[voxels]
+            self.theta2 = ctx.theta2[voxels]
             lens = np.diff(sv.member_offsets)
             lmax = max(int(lens.max()) if lens.size else 1, 1)
             # Row m's first lens[m] cells, filled row-major: exactly the
             # concatenated member footprints, in member order.
             filled = np.arange(lmax) < lens[:, None]
+            positions = member_entries(ctx.indptr, voxels)[0]
             idx_pad = np.zeros(filled.shape, dtype=np.int64)
-            wa_pad = np.zeros(filled.shape, dtype=np.float64)
+            self.wa_pad = np.zeros(filled.shape, dtype=np.float64)
+            self.a_pad = np.zeros(filled.shape, dtype=np.float64)
             idx_pad[filled] = sv.svb_indices
-            wa_pad[filled] = ctx.wa[member_entries(ctx.indptr, sv.voxels)[0]]
-            # wa_pad first: readers treat a non-None idx_pad as "built".
-            self.wa_pad = wa_pad
+            self.wa_pad[filled] = ctx.wa[positions]
+            self.a_pad[filled] = ctx.a_data[positions]
+            self.filled = filled
+            self.nonempty = lens > 0
+            # idx_pad last: readers treat a non-None idx_pad as "built".
             self.idx_pad = idx_pad
 
 
 class KernelContext:
     """Flat, hoisted view of a :class:`SliceUpdater` the kernels execute over.
 
-    Everything data-independent is materialised once: per-voxel footprint
-    index/weight/value views of the CSC storage (also reused by the
-    ``python`` kernel — it removes the per-voxel ``column_slice`` +
-    re-gather the sequential driver used to do), the width-8 padded
-    neighborhood tables, and the prior's canonical scalar constants.  A
+    Everything data-independent is materialised at most once: the width-8
+    padded neighborhood tables and the prior's canonical scalar constants
+    eagerly; per-voxel footprint index/weight/value views of the CSC
+    storage (also reused by the ``python`` kernel — it removes the
+    per-voxel ``column_slice`` + re-gather the sequential driver used to
+    do) and the other per-voxel tables lazily, on first use, so the wave
+    path — which runs off per-SV tables — never builds them.  A
     context is bound to one updater (hence one system matrix / scan / prior)
     and caches per-SV preparation keyed by SV index, so it must not be
     shared across different :class:`SuperVoxelGrid` instances — drivers
@@ -269,11 +303,6 @@ class KernelContext:
         self.wa = updater.wa
         self.a_data = updater.a_data
         self.theta2 = updater.theta2
-        bounds = self.indptr.tolist()
-        #: per-voxel views of the CSC arrays (footprint hoisting).
-        self.fp_views = _segments(self.indices, bounds)
-        self.wa_views = _segments(self.wa, bounds)
-        self.a_views = _segments(self.a_data, bounds)
 
         nb = updater.neighborhood
         n_voxels = nb.indices.shape[0]
@@ -287,6 +316,7 @@ class KernelContext:
         self._nb_idx_lists = None
         self._theta2_list = None
         self._col_sizes = None
+        self._views = None
         self._fast = None
         #: guards every lazy build below — wave backends call into one
         #: shared context from concurrent pool threads (re-entrant: the
@@ -305,6 +335,31 @@ class KernelContext:
     # ------------------------------------------------------------------
     # Lazy builds use double-checked locking: the fast path is one read of
     # an attribute that is only ever assigned a fully-built object.
+    def _csc_views(self) -> tuple[list, list, list]:
+        if self._views is None:
+            with self._lock:
+                if self._views is None:
+                    bounds = self.indptr.tolist()
+                    self._views = tuple(
+                        _segments(arr, bounds) for arr in (self.indices, self.wa, self.a_data)
+                    )
+        return self._views
+
+    @property
+    def fp_views(self) -> list:
+        """Per-voxel footprint views of the CSC row indices."""
+        return self._csc_views()[0]
+
+    @property
+    def wa_views(self) -> list:
+        """Per-voxel views of the fused ``w*A`` products."""
+        return self._csc_views()[1]
+
+    @property
+    def a_views(self) -> list:
+        """Per-voxel views of the CSC values ``A``."""
+        return self._csc_views()[2]
+
     @property
     def nb_w_lists(self) -> list:
         """Per-voxel padded weight rows as Python lists (scalar-loop fuel)."""
@@ -686,125 +741,114 @@ def _visit_vectorized_seq(ctx, sv, order, x, svb, zero_skip):
 
 
 def _visit_vectorized_wave(ctx, sv, order, x, svb, zero_skip, stale_width):
-    """stale_width > 1: batch each wave's skip tests and theta1 gathers.
+    """stale_width > 1: each wave as a fixed number of array operations.
 
     All proposals of a wave read the same ``x``/``svb`` state (the engine's
-    bulk-synchronous contract), which is what makes the batched gather
-    bit-exact; applies then run strictly in wave order.
+    bulk-synchronous contract), so the skip test, the theta1 gather and the
+    surrogate solve batch over the whole wave bit-exactly; the applies then
+    run in wave order through one ordered ``np.subtract.at``.
     """
     prep = ctx.sv_prep(sv)
     prep.build_pads(ctx)
-    fast = ctx.fast
-    voxels = sv.voxels
-    fp_views = prep.fp_views
-    fp_lens = prep.fp_lens
+    # The narrow member tables in visit order, so a wave slices them.
+    voxels = sv.voxels[order]
+    nb_gather = prep.nb_gather[order]
+    nb_w = prep.nb_w[order]
+    theta2 = prep.theta2[order]
+    nonempty = None if prep.nonempty.all() else prep.nonempty[order]
     idx_pad = prep.idx_pad
     wa_pad = prep.wa_pad
-    a_views = fast.a_views
-    sc1_views, _ = fast.scratch()
-    nb_idx = ctx.nb_idx
-    w_lists = ctx.nb_w_lists
-    t2l = ctx.theta2_list
-    kind = ctx.prior_kind
-    positivity = ctx.positivity
-    if kind == _QGGMRF:
-        tsig, c0, hq, p = ctx.qg_coeffs
-    elif kind == _QUAD:
-        qc = ctx.quad_c
-    else:
-        ratio = ctx.updater.prior.influence_ratio_scalar
-    pow_ = math.pow
-    mul = np.multiply
-    sub = np.subtract
-    f64 = np.float64
+    a_pad = prep.a_pad
+    filled = prep.filled
     updates = 0
     skipped = 0
     tad = 0.0
     for start in range(0, order.size, stale_width):
-        wave = order[start : start + stale_width]
-        wj = voxels[wave]
-        nbv = x[nb_idx[wj]]  # (k, 8) neighbor values, shared by skip + solve
-        vs = x[wj]
+        w = slice(start, start + stale_width)  # wave positions in visit order
+        wave = order[w]  # member ids
+        vals = x[nb_gather[w]]  # (k, 9): the voxel, then its 8 neighbors
         if zero_skip:
-            keep_mask = (vs != 0.0) | (nbv != 0.0).any(axis=1)
-            kept = np.nonzero(keep_mask)[0]
+            # any() counts -0.0 as zero and NaN as non-zero, like `!= 0.0`.
+            kept = vals.any(axis=1).nonzero()[0]
             skipped += wave.size - kept.size
             if kept.size == 0:
                 continue
-            km = wave[kept]
-        else:
-            kept = None
-            km = wave
-        # One batched theta1 for the whole wave: every proposal reads the
-        # same frozen svb (the engine's bulk-synchronous contract), so a
-        # (kept, Lmax) gather + row-cumsum is bit-identical to per-voxel
-        # dots; padded tail columns contribute exact +-0.0 terms.
-        th1s = np.cumsum(wa_pad[km] * svb[idx_pad[km]], axis=1)[:, -1].tolist()
-        km_l = km.tolist()
-        if kept is None:
-            wj_k = wj.tolist()
-            vs_k = vs.tolist()
-            nbv_k = nbv.tolist()
-        else:
-            wj_k = wj[kept].tolist()
-            vs_k = vs[kept].tolist()
-            nbv_k = nbv[kept].tolist()
-        n_kept = len(km_l)
-        prop_u = []
-        for i in range(n_kept):
-            m = km_l[i]
-            j = wj_k[i]
-            v = vs_k[i]
-            th1 = -th1s[i] if fp_lens[m] else 0.0
-            xs = nbv_k[i]
-            ws = w_lists[j]
-            s1 = 0.0
-            s2 = 0.0
-            if kind == _QGGMRF:
-                for xk, wk in zip(xs, ws):
-                    d = v - xk
-                    r = abs(d) / tsig
-                    rq = pow_(r, p)
-                    t = 1.0 + rq
-                    btl = wk * ((1.0 + hq * rq) / (c0 * (t * t)))
-                    s1 += btl
-                    s2 += btl * (xk - v)
-            elif kind == _QUAD:
-                for xk, wk in zip(xs, ws):
-                    btl = wk * qc
-                    s1 += btl
-                    s2 += btl * (xk - v)
-            else:
-                for xk, wk in zip(xs, ws):
-                    btl = wk * ratio(v - xk)
-                    s1 += btl
-                    s2 += btl * (xk - v)
-            denom = t2l[j] + 2.0 * s1
-            if denom <= 0.0:
-                u = v
-            else:
-                u = v + (-th1 + 2.0 * s2) / denom
-                if positivity and u < 0.0:
-                    u = 0.0
-            prop_u.append(u)
-        for i in range(n_kept):
-            u = prop_u[i]
-            v = vs_k[i]
-            delta = u - v
-            tad += abs(delta)
-            updates += 1
-            if delta != 0.0:
-                j = wj_k[i]
-                x[j] = u
-                m = km_l[i]
-                ln = fp_lens[m]
-                if ln:
-                    fp = fp_views[m]
-                    g = svb[fp]
-                    dp = mul(a_views[j], f64(delta), sc1_views[j])
-                    sub(g, dp, g)
-                    svb[fp] = g
+            if kept.size < wave.size:
+                w = kept + start
+                wave = wave[kept]
+                vals = vals[kept]
+        v = vals[:, 0]
+        # One batched theta1 for the whole wave: a (k, Lmax) gather +
+        # row-cumsum is bit-identical to per-voxel dots; padded tail columns
+        # contribute exact +-0.0 terms.  `acc` is -theta1.
+        ik = idx_pad[wave]
+        prod = wa_pad[wave]  # a fresh copy: the products overwrite it
+        prod *= svb[ik]
+        acc = prod.cumsum(axis=1)[:, -1]
+        if nonempty is not None:
+            acc = np.where(nonempty[w], acc, -0.0)  # theta1 = 0.0 exactly
+        u = _solve_wave(ctx, v, acc, theta2[w], vals[:, 1:], nb_w[w])
+        delta = u - v
+        updates += wave.size
+        for d in np.abs(delta).tolist():  # strict left-to-right, as the oracle
+            tad += d
+        vox = voxels[w]
+        moved = delta != 0.0
+        if not moved.all():
+            nz = moved.nonzero()[0]
+            if nz.size == 0:
+                continue
+            vox, wave, ik, u, delta = vox[nz], wave[nz], ik[nz], u[nz], delta[nz]
+        x[vox] = u
+        # Row-major boolean selection concatenates the footprints in wave
+        # order; ufunc.at applies repeated SVB cells in sequence.
+        sel = filled[wave]
+        prod = a_pad[wave]
+        prod *= delta[:, None]
+        np.subtract.at(svb, ik[sel], prod[sel])
     return updates, skipped, tad
+
+
+def _solve_wave(ctx, v, neg_th1, t2, xs, ws):
+    """:func:`_solve_inline` over a whole wave: ``v``/``neg_th1``/``t2``
+    are ``(k,)`` (``neg_th1`` is ``-theta1``, exactly), ``xs``/``ws`` the
+    ``(k, 8)`` neighbor values and weights."""
+    kind = ctx.prior_kind
+    vc = v[:, None]
+    dx = xs - vc
+    # bt[0] = btl, bt[1] = btl * (x_k - v): one cumsum sums both.
+    bt = np.empty((2,) + xs.shape)
+    if kind == _QGGMRF:
+        tsig, c0, hq, p = ctx.qg_coeffs
+        r = np.abs(dx) / tsig  # abs(x_k - v) == abs(v - x_k): rounding is sign-symmetric
+        # libm pow, one scalar at a time: np.power differs in the last ulp.
+        rq = np.fromiter(map(math.pow, r.ravel().tolist(), repeat(p)), np.float64, r.size)
+        rq = rq.reshape(r.shape)
+        t = 1.0 + rq
+        np.multiply(ws, (1.0 + hq * rq) / (c0 * (t * t)), out=bt[0])
+    elif kind == _QUAD:
+        np.multiply(ws, ctx.quad_c, out=bt[0])
+    else:
+        ratio = ctx.updater.prior.influence_ratio_scalar
+        d = vc - xs
+        rat = np.fromiter(map(ratio, d.ravel().tolist()), np.float64, d.size)
+        np.multiply(ws, rat.reshape(d.shape), out=bt[0])
+    np.multiply(bt[0], dx, out=bt[1])
+    # A row cumsum is the strict left-to-right sum without the scalar
+    # loop's leading `0.0 +`; adding 0.0 afterwards restores it exactly
+    # (the two differ only when every term is -0.0).
+    s1, s2 = bt.cumsum(axis=2)[:, :, -1] + 0.0
+    denom = t2 + 2.0 * s1
+    stay = denom <= 0.0  # the scalar solve's `return v`; NaN goes on
+    any_stay = stay.any()
+    if any_stay:
+        denom = np.where(stay, 1.0, denom)  # placeholder; v is restored below
+    u = v + (neg_th1 + 2.0 * s2) / denom
+    if ctx.positivity:
+        u[u < 0.0] = 0.0
+    if any_stay:
+        u[stay] = v[stay]
+    return u
 
 
 # ----------------------------------------------------------------------

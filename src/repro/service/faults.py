@@ -100,6 +100,10 @@ class RetryPolicy:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
 
 
+#: The retry budget of a :class:`DegradingCheckpointManager` save.
+CHECKPOINT_RETRY_POLICY = RetryPolicy(attempts=2, base_s=0.02, cap_s=0.25)
+
+
 class DegradableWriter:
     """Retry-then-suppress wrapper for best-effort disk writes.
 
@@ -244,7 +248,7 @@ class DegradingCheckpointManager(CheckpointManager):
         self._recorder = recorder
         self.writer = DegradableWriter(
             f"checkpoint:{Path(directory).parent.name or directory}",
-            policy=policy or RetryPolicy(attempts=2, base_s=0.02, cap_s=0.25),
+            policy=policy or CHECKPOINT_RETRY_POLICY,
             reprobe_every=reprobe_every,
             on_degrade=self._on_degrade,
             on_recover=self._on_recover,
@@ -289,26 +293,46 @@ def check_disk_fault(directory: str | Path) -> None:
     """Raise the injected :class:`OSError` if ``directory`` carries one.
 
     A ``.disk-fault`` sentinel file names the errno to raise (``ENOSPC``
-    when empty or unreadable).  Production directories never contain one,
-    so the healthy-path cost is a single ``stat`` that fails.
+    when empty or unreadable), optionally followed by how many failures
+    remain: each check that raises decrements it, and the one that brings
+    it to zero removes the sentinel.  The count lives in the file, so it is
+    consumed by whichever process does the writing — exact for one writer
+    per directory.  Production directories never contain a sentinel, so
+    the healthy-path cost is a single ``stat`` that fails.
     """
     sentinel = Path(directory) / DISK_FAULT_SENTINEL
     try:
-        name = sentinel.read_text().strip() or "ENOSPC"
+        fields = sentinel.read_text().split()
     except FileNotFoundError:
         return
     except OSError:
-        name = "ENOSPC"
+        fields = []
+    name = fields[0] if fields else "ENOSPC"
+    if len(fields) > 1:
+        remaining = int(fields[1]) - 1
+        if remaining > 0:
+            sentinel.write_text(f"{name} {remaining}")
+        else:
+            sentinel.unlink(missing_ok=True)
     code = getattr(errno_mod, name, errno_mod.ENOSPC)
     raise OSError(code, f"{os.strerror(code)} [injected: {sentinel}]")
 
 
-def arm_disk_fault(directory: str | Path, errno_name: str = "ENOSPC") -> Path:
-    """Plant a disk-fault sentinel in ``directory`` (created if missing)."""
+def arm_disk_fault(
+    directory: str | Path, errno_name: str = "ENOSPC", *, failures: int | None = None
+) -> Path:
+    """Plant a disk-fault sentinel in ``directory`` (created if missing).
+
+    By default the fault persists until :func:`disarm_disk_fault`; with
+    ``failures=N`` the next ``N`` writes fail and the sentinel then clears
+    itself, with no cross-process timing involved.
+    """
+    if failures is not None and failures < 1:
+        raise ValueError(f"failures must be >= 1, got {failures}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     sentinel = directory / DISK_FAULT_SENTINEL
-    sentinel.write_text(errno_name)
+    sentinel.write_text(errno_name if failures is None else f"{errno_name} {failures}")
     return sentinel
 
 

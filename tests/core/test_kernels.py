@@ -26,13 +26,23 @@ from repro.core import (
     rmse_hu,
     shared_neighborhood,
 )
+from repro.core.icd import default_prior
 from repro.core.kernels import (
     HAVE_NUMBA,
     KERNELS,
+    KernelContext,
+    _solve_inline,
+    _solve_wave,
     numba_supports_prior,
     resolve_kernel,
 )
-from repro.ct import SystemMatrix, simulate_scan
+from repro.ct import (
+    ParallelBeamGeometry,
+    SystemMatrix,
+    build_system_matrix,
+    shepp_logan,
+    simulate_scan,
+)
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
@@ -143,12 +153,121 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Whole-wave kernel oracle matrix: prior x init x positivity x wave width.
+# ----------------------------------------------------------------------
+class _GenericQGGMRF(QGGMRFPrior):
+    """Exact-type dispatch sends a subclass down the generic scalar-ratio path."""
+
+
+_SIGMA = default_prior().sigma
+WAVE_PRIORS = {
+    "qggmrf": QGGMRFPrior(sigma=_SIGMA),
+    "quadratic": QuadraticPrior(sigma=_SIGMA),
+    "generic": _GenericQGGMRF(sigma=_SIGMA),
+}
+
+
+def assert_gpu_icd_matches_oracle(scan, system, kernel, **kwargs):
+    kwargs = dict(max_equits=2, seed=0, track_cost=False, **kwargs)
+    ref = gpu_icd_reconstruct(scan, system, kernel="python", **kwargs)
+    res = gpu_icd_reconstruct(scan, system, kernel=kernel, **kwargs)
+    assert np.array_equal(res.image, ref.image)
+    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
+    assert res.trace.total_updates == ref.trace.total_updates
+
+
+@pytest.fixture(scope="module")
+def clipped_scan():
+    """A detector covering only the slice's centre: corner voxels have empty footprints."""
+    geom = ParallelBeamGeometry(n_pixels=16, n_views=6, n_channels=4, channel_spacing=0.5)
+    system = build_system_matrix(geom)
+    assert np.any(np.diff(system.matrix.indptr) == 0), "geometry no longer empties a footprint"
+    return simulate_scan(shepp_logan(16), system, dose=1e5, seed=7), system
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@pytest.mark.parametrize("width", [2, 40, 5000])
+@pytest.mark.parametrize("positivity", [True, False])
+@pytest.mark.parametrize("init", ["fbp", "zero"])
+@pytest.mark.parametrize("prior", list(WAVE_PRIORS))
+def test_wave_kernel_oracle_matrix(scan32, system32, prior, init, positivity, width, kernel):
+    params = GPUICDParams(sv_side=8, threadblocks_per_sv=width, batch_size=4)
+    assert_gpu_icd_matches_oracle(
+        scan32, system32, kernel, params=params, prior=WAVE_PRIORS[prior],
+        init=init, positivity=positivity,
+    )
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@pytest.mark.parametrize("init", ["fbp", "zero"])
+def test_wave_kernel_oracle_empty_footprints(clipped_scan, kernel, init):
+    scan, system = clipped_scan
+    params = GPUICDParams(sv_side=5, threadblocks_per_sv=8, batch_size=4)
+    assert_gpu_icd_matches_oracle(scan, system, kernel, params=params, init=init)
+
+
+def test_wave_solve_matches_scalar_solve(scan16, system16):
+    """The (k, 8) solve against the scalar one on hostile inputs: signed
+    zeros, zero weights, denom <= 0 (u stays v) and negative proposals."""
+    rng = np.random.default_rng(0)
+    k = 64
+    v = rng.normal(0.0, 0.02, k)
+    v[:8] = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5]
+    xs = v[:, None] + rng.normal(0.0, 0.02, (k, 8))
+    xs[:3] = -0.0
+    xs[3] = -1.0  # all-zero weights: every s2 term is -0.0, the sum +0.0
+    xs[4:6, :4] = v[4:6, None]
+    ws = np.tile(shared_neighborhood(16).weights, (k, 1))
+    ws[::3, 5:] = 0.0
+    ws[:4] = 0.0
+    th1 = rng.normal(0.0, 1.0, k)
+    th1[:4] = [0.0, -0.0, 0.0, 0.0]
+    t2 = rng.uniform(0.0, 2.0, k)
+    t2[:4] = [0.0, -1.0, 0.5, 1.0]
+    t2[10:14] = -1e6
+    for prior in WAVE_PRIORS.values():
+        for positivity in (True, False):
+            updater = SliceUpdater(
+                system16, scan16, prior, shared_neighborhood(16), positivity=positivity
+            )
+            ctx = KernelContext(updater)
+            got = _solve_wave(ctx, v, -th1, t2, xs, ws)
+            want = [
+                _solve_inline(ctx, v[i], th1[i], t2[i], xs[i].tolist(), ws[i].tolist())
+                for i in range(k)
+            ]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got[10:14], v[10:14])
+
+
+def test_gpu_icd_wave_path_skips_fast_pack(scan32, system32, monkeypatch):
+    """The wave path runs off per-SV tables: no whole-image _FastPack."""
+    import repro.core.gpu_icd as gpu_icd_module
+
+    built = []
+
+    class RecordingUpdater(SliceUpdater):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(gpu_icd_module, "SliceUpdater", RecordingUpdater)
+    params = GPUICDParams(sv_side=8, threadblocks_per_sv=40, batch_size=4)
+    gpu_icd_reconstruct(
+        scan32, system32, max_equits=1, track_cost=False, kernel="vectorized", params=params
+    )
+    (updater,) = built
+    ctx = updater.context()
+    assert ctx._fast is None
+    assert ctx._views is None
+
+
+# ----------------------------------------------------------------------
 # Backend waves: tasks carry the kernel; results stay bit-equal.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_serial_backend_wave_equivalence(scan32, system32, kernel):
+def assert_serial_wave_matches_oracle(scan32, system32, kernel, stale_width):
     from repro.core.backends import SerialBackend, run_wave
-    from repro.core.icd import default_prior
 
     updater = SliceUpdater(
         system32, scan32, default_prior(), shared_neighborhood(32)
@@ -165,12 +284,23 @@ def test_serial_backend_wave_equivalence(scan32, system32, kernel):
         e = e0.copy()
         stats = run_wave(
             backend, sv_indices, x, e,
-            base_seed=5, zero_skip=True, stale_width=4, kernel=k,
+            base_seed=5, zero_skip=True, stale_width=stale_width, kernel=k,
         )
         states[k] = (x, e, [(s.updates, s.skipped, s.total_abs_delta) for s in stats])
     assert np.array_equal(states[kernel][0], states["python"][0])
     assert np.array_equal(states[kernel][1], states["python"][1])
     assert states[kernel][2] == states["python"][2]
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
+def test_serial_backend_wave_equivalence(scan32, system32, kernel):
+    assert_serial_wave_matches_oracle(scan32, system32, kernel, stale_width=4)
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
+def test_serial_backend_wave_equivalence_stale40(scan32, system32, kernel):
+    """The GPUICDParams default width: one wave covers most of an SV."""
+    assert_serial_wave_matches_oracle(scan32, system32, kernel, stale_width=40)
 
 
 # ----------------------------------------------------------------------

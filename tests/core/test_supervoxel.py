@@ -213,17 +213,32 @@ def reference_build_sv(grid, bi, bj):
 
 
 def reference_pads(ctx, sv):
-    """The per-member ``_SVPrep.build_pads`` loop."""
+    """The per-member definition of ``_SVPrep.build_pads``'s wave tables."""
     lens = np.diff(sv.member_offsets)
     lmax = max(int(lens.max()) if lens.size else 1, 1)
-    idx_pad = np.zeros((sv.n_voxels, lmax), dtype=np.int64)
-    wa_pad = np.zeros((sv.n_voxels, lmax), dtype=np.float64)
+    pads = {
+        "idx_pad": np.zeros((sv.n_voxels, lmax), dtype=np.int64),
+        "wa_pad": np.zeros((sv.n_voxels, lmax), dtype=np.float64),
+        "a_pad": np.zeros((sv.n_voxels, lmax), dtype=np.float64),
+        "filled": np.zeros((sv.n_voxels, lmax), dtype=bool),
+        "nonempty": np.zeros(sv.n_voxels, dtype=bool),
+        "nb_gather": np.zeros((sv.n_voxels, 9), dtype=np.int64),
+        "nb_w": np.zeros((sv.n_voxels, 8), dtype=np.float64),
+        "theta2": np.zeros(sv.n_voxels, dtype=np.float64),
+    }
     fast = ctx.fast
     for m in range(sv.n_voxels):
+        j = int(sv.voxels[m])
+        pads["nb_gather"][m] = [j, *ctx.nb_idx_lists[j]]
+        pads["nb_w"][m] = ctx.nb_w_lists[j]
+        pads["theta2"][m] = ctx.theta2_list[j]
         fp = sv.svb_indices[sv.member_offsets[m] : sv.member_offsets[m + 1]]
-        idx_pad[m, : fp.size] = fp
-        wa_pad[m, : fp.size] = fast.wa_views[int(sv.voxels[m])]
-    return idx_pad, wa_pad
+        pads["idx_pad"][m, : fp.size] = fp
+        pads["wa_pad"][m, : fp.size] = fast.wa_views[int(sv.voxels[m])]
+        pads["a_pad"][m, : fp.size] = fast.a_views[int(sv.voxels[m])]
+        pads["filled"][m, : fp.size] = True
+        pads["nonempty"][m] = fp.size > 0
+    return pads
 
 
 def assert_same_array(got, want, what):
@@ -313,6 +328,21 @@ class TestArrayBuildersMatchPerVoxelDefinition:
             for got, ref in zip(prep.fp_views, want):
                 assert_same_array(got, ref, ("sv fp", sv.index))
             prep.build_pads(ctx)
-            ref_idx, ref_wa = reference_pads(ctx, sv)
-            assert_same_array(prep.idx_pad, ref_idx, ("idx_pad", sv.index))
-            assert_same_array(prep.wa_pad, ref_wa, ("wa_pad", sv.index))
+            for name, ref in reference_pads(ctx, sv).items():
+                assert_same_array(getattr(prep, name), ref, (name, sv.index))
+
+    def test_pads_with_empty_footprints(self):
+        """Members whose column is empty get an all-padding row."""
+        geom = ParallelBeamGeometry(n_pixels=16, n_views=6, n_channels=4, channel_spacing=0.5)
+        system = build_system_matrix(geom)
+        scan = simulate_scan(shepp_logan(16), system, dose=1e5, seed=7)
+        updater = SliceUpdater(system, scan, default_prior(), shared_neighborhood(16))
+        ctx = updater.context()
+        n_empty = 0
+        for sv in SuperVoxelGrid(system, 5).svs:
+            prep = ctx.sv_prep(sv)
+            prep.build_pads(ctx)
+            n_empty += int((~prep.nonempty).sum())
+            for name, ref in reference_pads(ctx, sv).items():
+                assert_same_array(getattr(prep, name), ref, (name, sv.index))
+        assert n_empty, "geometry no longer empties a footprint"

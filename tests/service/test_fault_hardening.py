@@ -36,6 +36,7 @@ from repro.service import (
     ReconstructionService,
 )
 from repro.service.faults import (
+    CHECKPOINT_RETRY_POLICY,
     DISK_FAULT_SENTINEL,
     DegradableWriter,
     DegradingCheckpointManager,
@@ -200,6 +201,20 @@ class TestDiskFaultSentinel:
     def test_disarm_is_idempotent(self, tmp_path):
         disarm_disk_fault(tmp_path / "never-armed")
 
+    def test_counted_fault_clears_itself(self, tmp_path):
+        sentinel = arm_disk_fault(tmp_path, errno_name="EIO", failures=3)
+        for _ in range(3):
+            with pytest.raises(OSError) as exc_info:
+                check_disk_fault(tmp_path)
+            assert exc_info.value.errno == errno.EIO
+        assert not sentinel.exists()
+        check_disk_fault(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_counted_fault_rejects_nonpositive(self, tmp_path):
+        with pytest.raises(ValueError, match="failures"):
+            arm_disk_fault(tmp_path, failures=0)
+
 
 class _FaultLog:
     """Duck-typed recorder capturing ``note_fault`` transitions."""
@@ -279,23 +294,15 @@ class TestServiceCheckpointDegradation:
         job_id = "enospc-drill"
         ckpt_root = tmp_path / "ckpts"
         ckpt_dir = ckpt_root / job_id / "checkpoints"
-        arm_disk_fault(ckpt_dir)
-
-        # Checkpoint saves run after the iteration span closes, so the
-        # iteration-1 event precedes the iteration-1 save: disarming from
-        # iteration 2 guarantees the first save degrades and a later one
-        # recovers.
-        def on_progress(event):
-            if event.kind == "iteration" and event.iteration >= 2:
-                disarm_disk_fault(ckpt_dir)
+        # Exactly one save's retry budget fails, counted down by whichever
+        # process writes: the first save degrades and the next recovers,
+        # however the worker and this process are scheduled.
+        arm_disk_fault(ckpt_dir, failures=CHECKPOINT_RETRY_POLICY.attempts)
 
         with ReconstructionService(
             n_workers=1, worker_model=worker_model, checkpoint_root=ckpt_root
         ) as svc:
-            svc.submit(
-                icd_spec(scan16, equits=3.0, job_id=job_id),
-                on_progress=on_progress,
-            )
+            svc.submit(icd_spec(scan16, equits=3.0, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)
             counters = dict(svc.rec.counters)
@@ -319,16 +326,10 @@ class TestServiceCheckpointDegradation:
         job_id = "enospc-errno"
         ckpt_root = tmp_path / "ckpts"
         ckpt_dir = ckpt_root / job_id / "checkpoints"
-        arm_disk_fault(ckpt_dir)
-
-        def on_progress(event):
-            if event.kind == "iteration" and event.iteration >= 2:
-                disarm_disk_fault(ckpt_dir)
+        arm_disk_fault(ckpt_dir, failures=CHECKPOINT_RETRY_POLICY.attempts)
 
         with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
-            svc.submit(
-                icd_spec(scan16, equits=3.0, job_id=job_id), on_progress=on_progress
-            )
+            svc.submit(icd_spec(scan16, equits=3.0, job_id=job_id))
             svc.result(job_id, timeout=120)
             degraded = [
                 e for e in svc.job(job_id).events if e.kind == "CHECKPOINT_DEGRADED"
