@@ -55,11 +55,11 @@ from repro.service.jobs import (
     UnknownJobError,
 )
 from repro.service.loadgen import JobRecord, LoadReport, run_load
-from repro.service.progress import ProgressEvent, ProgressRecorder
+from repro.service.progress import JobMetrics, ProgressEvent
 from repro.service.queue import AdmissionError, JobQueue, QueueClosedError
 from repro.service.reaper import JobReaper
 from repro.service.runner import clear_system_cache, run_job, system_for
-from repro.service.scheduler import WORKER_MODELS, Scheduler
+from repro.service.scheduler import Scheduler
 from repro.service.service import ReconstructionService
 
 __all__ = [
@@ -84,12 +84,11 @@ __all__ = [
     "CachedResult",
     "ResultCache",
     "ProgressEvent",
-    "ProgressRecorder",
+    "JobMetrics",
     "system_for",
     "clear_system_cache",
     "run_job",
     "Scheduler",
-    "WORKER_MODELS",
     "JobReaper",
     "ReconstructionService",
     "HttpGateway",

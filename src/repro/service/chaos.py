@@ -40,14 +40,13 @@ kind            injection
                 whole campaign → disk-tier persists fail, dedup falls
                 back to memory, jobs still finish
 ``kill``        ``fault={"kill_at_iteration": 2}`` — SIGKILL mid-run,
-                resume from checkpoint (process model only)
+                resume from checkpoint
 ``hang``        SIGSTOP instead of SIGKILL — worker goes silent, the
                 heartbeat supervisor must detect and kill it
-                (process model only)
 ``result_out``  sentinel armed on the job's *result* directory (never
                 cleared) → the worker's result persist fails after
                 retries; the job must FAIL typed, not hang or crash
-                the service (process model only)
+                the service
 ==============  ========================================================
 
 Campaign-level injections (seeded coin flips, after the drain): TTL
@@ -98,22 +97,17 @@ __all__ = [
     "summarize",
 ]
 
-#: Fault kinds available per worker model.  Thread workers share the
-#: service process, so kill/hang/result faults (which need a separate
-#: victim process) are process-model only.
-FAULT_KINDS = {
-    "thread": ("none", "none", "dup", "cancel", "ckpt_fault", "cache_fault"),
-    "process": (
-        "none",
-        "dup",
-        "cancel",
-        "ckpt_fault",
-        "cache_fault",
-        "kill",
-        "hang",
-        "result_out",
-    ),
-}
+#: Fault kinds a campaign draws its non-anchor jobs from.
+FAULT_KINDS = (
+    "none",
+    "dup",
+    "cancel",
+    "ckpt_fault",
+    "cache_fault",
+    "kill",
+    "hang",
+    "result_out",
+)
 
 _TERMINAL_KINDS = frozenset(s.value for s in (JobState.DONE, JobState.FAILED, JobState.CANCELLED))
 
@@ -174,31 +168,23 @@ class ChaosPlan:
     """A seeded campaign plan: the jobs plus the campaign-level coin flips."""
 
     seed: int
-    worker_model: str
     jobs: tuple[ChaosJob, ...]
     evict_after_drain: bool
     close_race_submissions: int
 
     @classmethod
-    def generate(
-        cls, seed: int, *, worker_model: str = "thread", n_jobs: int = 6
-    ) -> "ChaosPlan":
+    def generate(cls, seed: int, *, n_jobs: int = 6) -> "ChaosPlan":
         """Deterministically expand ``seed`` into a full campaign plan.
 
         Job 0 is always clean — it is the dedup target and anchors the
         bit-identity baseline inside the campaign itself.
         """
-        if worker_model not in FAULT_KINDS:
-            raise ValueError(
-                f"worker_model must be one of {sorted(FAULT_KINDS)}, got {worker_model!r}"
-            )
         if n_jobs < 2:
             raise ValueError(f"n_jobs must be >= 2, got {n_jobs}")
         rng = random.Random(seed)
-        kinds = FAULT_KINDS[worker_model]
         jobs: list[ChaosJob] = []
         for i in range(n_jobs):
-            kind = "none" if i == 0 else rng.choice(kinds)
+            kind = "none" if i == 0 else rng.choice(FAULT_KINDS)
             # >= 3 iterations so kill/hang at iteration 2 always fires and
             # always leaves a checkpoint to resume from.
             params: dict[str, Any] = {
@@ -235,7 +221,6 @@ class ChaosPlan:
             )
         return cls(
             seed=seed,
-            worker_model=worker_model,
             jobs=tuple(jobs),
             evict_after_drain=rng.random() < 0.5,
             close_race_submissions=rng.choice((0, 2, 3)),
@@ -250,7 +235,6 @@ class CampaignResult:
     """What one campaign did and every invariant violation it found."""
 
     seed: int
-    worker_model: str
     n_jobs: int
     duration_s: float = 0.0
     violations: list[str] = field(default_factory=list)
@@ -266,7 +250,6 @@ class CampaignResult:
     def to_dict(self) -> dict[str, Any]:
         return {
             "seed": self.seed,
-            "worker_model": self.worker_model,
             "n_jobs": self.n_jobs,
             "duration_s": round(self.duration_s, 3),
             "ok": self.ok,
@@ -309,9 +292,7 @@ def run_campaign(
     *data* (the CLI and CI turn them into exit codes) — but programming
     errors inside the harness itself do propagate.
     """
-    res = CampaignResult(
-        seed=plan.seed, worker_model=plan.worker_model, n_jobs=len(plan.jobs)
-    )
+    res = CampaignResult(seed=plan.seed, n_jobs=len(plan.jobs))
     for planned in plan.jobs:
         res.kind_counts[planned.kind] = res.kind_counts.get(planned.kind, 0) + 1
     started = time.monotonic()
@@ -339,11 +320,10 @@ def run_campaign(
 
     service = ReconstructionService(
         n_workers=2,
-        worker_model=plan.worker_model,
         max_restarts=3,
         # Tight enough that a SIGSTOPped worker is caught in-campaign,
         # loose enough that a CI-loaded box doesn't false-positive.
-        heartbeat_timeout_s=1.0 if plan.worker_model == "process" else None,
+        heartbeat_timeout_s=1.0,
         checkpoint_root=ckpt_root,
         cache_dir=cache_dir,
         checkpoint_every=1,
@@ -538,29 +518,22 @@ def run_campaigns(
     campaigns: int,
     *,
     seed: int = 0,
-    worker_models: tuple[str, ...] = ("thread", "process"),
     n_jobs: int = 6,
     progress: Callable[[str], None] | None = None,
 ) -> list[CampaignResult]:
-    """Run ``campaigns`` seeded campaigns, alternating worker models.
-
-    Campaign ``i`` uses seed ``seed + i`` and worker model
-    ``worker_models[i % len(worker_models)]``, so one ``--campaigns 20``
-    run covers both execution models across 20 distinct fault mixes.
-    """
+    """Run ``campaigns`` seeded campaigns; campaign ``i`` uses seed ``seed + i``."""
     if campaigns < 1:
         raise ValueError(f"campaigns must be >= 1, got {campaigns}")
     results: list[CampaignResult] = []
     for i in range(campaigns):
-        model = worker_models[i % len(worker_models)]
-        plan = ChaosPlan.generate(seed + i, worker_model=model, n_jobs=n_jobs)
+        plan = ChaosPlan.generate(seed + i, n_jobs=n_jobs)
         result = run_campaign(plan)
         results.append(result)
         if progress is not None:
             verdict = "ok" if result.ok else f"{len(result.violations)} VIOLATIONS"
             progress(
-                f"campaign seed={plan.seed} model={model} "
-                f"jobs={result.n_jobs} {result.duration_s:.2f}s -> {verdict}"
+                f"campaign seed={plan.seed} jobs={result.n_jobs} "
+                f"{result.duration_s:.2f}s -> {verdict}"
             )
     return results
 

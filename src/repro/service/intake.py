@@ -135,7 +135,6 @@ class DirectoryService:
         queue_dir: str | Path,
         *,
         n_workers: int = 2,
-        worker_model: str = "thread",
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
         job_ttl_s: float | None = None,
@@ -152,7 +151,6 @@ class DirectoryService:
         self.poll_s = float(poll_s)
         self.service = ReconstructionService(
             n_workers=n_workers,
-            worker_model=worker_model,
             heartbeat_timeout_s=heartbeat_timeout_s,
             job_deadline_s=job_deadline_s,
             job_ttl_s=job_ttl_s,

@@ -73,7 +73,7 @@ class JobCancelledError(ServiceError):
     """The job was cancelled.
 
     Raised *inside* a running driver at the next iteration boundary (the
-    progress stream checks the job's cancel token there) and by
+    worker subprocess checks the job's shared cancel flag there) and by
     ``result()`` waiters of a CANCELLED job.
     """
 
@@ -81,9 +81,9 @@ class JobCancelledError(ServiceError):
 class JobDeadlineError(ServiceError):
     """The job exceeded its wall-clock budget (``job_deadline_s``).
 
-    Process workers are SIGKILLed at the deadline; thread workers stop
-    cooperatively at the next iteration boundary.  Either way the job
-    files FAILED with this error's message in the detail.
+    The job's worker subprocess is SIGKILLed at the deadline, and once
+    its restart budget is spent the job files FAILED with this error's
+    message in the detail.
     """
 
 
@@ -242,7 +242,7 @@ class Job:
         self.events: list[JobEvent] = []
         self.error: str | None = None
         self.result = None  # ICDResult-shaped object once DONE
-        self.metrics = None  # the job's ProgressRecorder, attached at run time
+        self.metrics = None  # JobMetrics from the worker's "done" verdict
         self.from_cache = False
         self.submitted_at: float = clock()
         self.started_at: float | None = None
@@ -280,7 +280,7 @@ class Job:
         with self._lock:
             self.events.append(JobEvent(kind=kind, at=self._clock(), detail=detail))
 
-    # -- progress (called from the worker's ProgressRecorder) -----------
+    # -- progress (relayed from the job's worker subprocess) ------------
     def note_iteration(self, iteration: int, duration_s: float | None) -> None:
         """Record that outer iteration ``iteration`` just completed."""
         with self._lock:

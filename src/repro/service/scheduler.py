@@ -11,24 +11,21 @@ Each worker thread loops: take the highest-priority pending job, then
    job whose worker died must resume, not be short-circuited by a result
    some other submission produced;
 3. run the job with a per-job checkpoint directory
-   (``<root>/<job_id>/checkpoints``) and ``resume_from="latest"``,
-   streaming progress through a per-job
-   :class:`~repro.service.progress.ProgressRecorder`.  Under
-   ``worker_model="thread"`` (the default) the driver runs on the worker
-   thread itself via :func:`~repro.service.runner.run_job`; under
-   ``worker_model="process"`` the worker thread instead supervises a
-   worker *subprocess* (:mod:`repro.service.worker`) so concurrent
-   NumPy-light jobs stop serialising on the GIL — progress and cancel are
-   relayed over a pipe / shared flag, the result comes back as the repo's
-   npz container, and a crashed (SIGKILL'd) subprocess is respawned to
-   resume bit-identically from the job's newest checkpoint;
+   (``<root>/<job_id>/checkpoints``) and ``resume_from="latest"`` in a
+   worker *subprocess* (:mod:`repro.service.worker`) that the thread
+   supervises: progress and cancel are relayed over a pipe / shared flag,
+   the result comes back as the repo's npz container, and a crashed
+   (SIGKILL'd) subprocess is respawned to resume bit-identically from the
+   job's newest checkpoint.  The drivers' own wave backends provide the
+   within-job parallelism (paper Alg. 3); the subprocess only hosts the
+   job, so concurrent jobs never serialise on one interpreter's GIL;
 4. file the outcome: DONE (result stored in the cache), CANCELLED (the
    cooperative :class:`JobCancelledError` surfaced at an iteration
-   boundary), or FAILED (the exception message lands in ``job.error``).
-   Terminal filing is race-tolerant: if the job went terminal concurrently
-   (a cancel filed elsewhere racing an induced failure), the losing
-   transition is dropped instead of killing the worker thread with a
-   :class:`JobStateError`.
+   boundary, or a final shutdown stopped the job), or FAILED (the error
+   lands in ``job.error``).  Terminal filing is race-tolerant: if the job
+   went terminal concurrently (a cancel filed elsewhere racing an induced
+   failure), the losing transition is dropped instead of killing the
+   worker thread with a :class:`JobStateError`.
 
 Service-level ``service.*`` counters (queue wait, run time, completion /
 failure / dedup / worker-crash tallies) accumulate into a shared
@@ -40,6 +37,8 @@ the per-job metrics.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -55,9 +54,9 @@ from repro.service.jobs import (
     JobStateError,
     ResultPersistError,
 )
-from repro.service.progress import ProgressEvent, ProgressRecorder
+from repro.service.progress import JobMetrics, ProgressEvent
 from repro.service.queue import JobQueue
-from repro.service.runner import run_job, system_for
+from repro.service.runner import system_for
 from repro.service.worker import (
     load_worker_result,
     mp_context,
@@ -65,17 +64,27 @@ from repro.service.worker import (
     worker_verdict_path,
 )
 
-__all__ = ["WORKER_MODELS", "Scheduler"]
-
-#: Worker execution models: jobs on pool threads vs. on worker subprocesses.
-WORKER_MODELS = ("thread", "process")
+__all__ = ["Scheduler"]
 
 #: how long an idle worker blocks on the queue before re-checking shutdown.
 _POLL_S = 0.1
 
-#: how long the process-model supervisor blocks on the progress pipe before
-#: re-checking the cancel flag and the child's liveness.
+#: how long the supervisor blocks on the progress pipe before re-checking
+#: the cancel flag, shutdown, and the child's liveness.
 _RELAY_POLL_S = 0.05
+
+
+def _kill_worker(proc) -> None:
+    """SIGKILL a worker subprocess together with the process group it leads.
+
+    The group holds any pool a ``backend="process"`` driver forked inside
+    the job, which would otherwise outlive its killed parent.  A child
+    that has not formed its group yet has forked nothing either.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except OSError:
+        proc.kill()
 
 
 class Scheduler:
@@ -89,21 +98,15 @@ class Scheduler:
         Directory under which each job gets its own
         ``<job_id>/checkpoints`` snapshot store.
     n_workers:
-        Number of concurrently running jobs.
-    worker_model:
-        ``"thread"`` (default) runs each job's driver on the worker thread;
-        ``"process"`` runs it in a worker subprocess supervised by the
-        thread, so CPU-bound jobs scale with cores instead of serialising
-        on the GIL.  Results are bit-identical across models (same
-        ``run_job`` path either way), so they share cache entries.
+        Number of concurrently running jobs (one worker subprocess each).
     max_restarts:
-        Process model only: how many times one job's crashed (no-verdict)
-        or killed-for-hanging worker subprocess is respawned to resume
-        from checkpoints before the job is filed FAILED.  Guards against a
-        job that is itself the crash trigger (e.g. the OOM killer) looping
+        How many times one job's crashed (no-verdict) or
+        killed-for-hanging worker subprocess is respawned to resume from
+        checkpoints before the job is filed FAILED.  Guards against a job
+        that is itself the crash trigger (e.g. the OOM killer) looping
         forever.
     heartbeat_timeout_s:
-        Process model only: a worker subprocess whose pipe stays silent —
+        A worker subprocess whose pipe stays silent —
         no progress, fault, or heartbeat message of any kind — for this
         long while still alive is presumed hung (deadlocked, SIGSTOPped,
         wedged in native code) and SIGKILLed; the job resumes from its
@@ -113,12 +116,10 @@ class Scheduler:
         heartbeat at a quarter of this interval.
     job_deadline_s:
         Wall-clock budget for one job across all of its worker lives.
-        Process workers are SIGKILLed at the deadline (same WORKER_HUNG
+        Workers are SIGKILLed at the deadline (same WORKER_HUNG
         accounting; respawns past the deadline die immediately, so the
-        job fails after ``max_restarts``); thread workers stop
-        cooperatively at the next iteration boundary with
-        :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
-        (default) disables deadlines.
+        job fails with :class:`~repro.service.jobs.JobDeadlineError` after
+        ``max_restarts``).  ``None`` (default) disables deadlines.
     checkpoint_every:
         Snapshot cadence (iterations) for every job.
     driver_defaults:
@@ -144,7 +145,6 @@ class Scheduler:
         *,
         checkpoint_root: str | Path,
         n_workers: int = 2,
-        worker_model: str = "thread",
         max_restarts: int = 2,
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
@@ -156,10 +156,6 @@ class Scheduler:
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if worker_model not in WORKER_MODELS:
-            raise ValueError(
-                f"unknown worker_model {worker_model!r}; use one of {WORKER_MODELS}"
-            )
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
@@ -174,7 +170,6 @@ class Scheduler:
         self.cache = cache
         self.checkpoint_root = Path(checkpoint_root)
         self.n_workers = int(n_workers)
-        self.worker_model = worker_model
         self.max_restarts = int(max_restarts)
         self.heartbeat_timeout_s = (
             None if heartbeat_timeout_s is None else float(heartbeat_timeout_s)
@@ -198,12 +193,8 @@ class Scheduler:
 
     # -- fault bookkeeping ----------------------------------------------
     def _note_job_fault(self, job: Job, kind: str, detail: dict) -> None:
-        """File a fault event on the job and keep the degraded-set current.
-
-        Reached from both worker models: the thread model's
-        ProgressRecorder calls it directly (``on_fault``), the process
-        model relays ``("fault", kind, detail)`` pipe messages here.
-        """
+        """File a relayed ``("fault", kind, detail)`` worker message on the
+        job and keep the degraded-set current."""
         job.record_event(kind, **detail)
         if kind == "CHECKPOINT_DEGRADED":
             self._count("service.checkpoint_writes_failed")
@@ -258,7 +249,11 @@ class Scheduler:
         The queue stays **open** unless ``close=True`` (final shutdown):
         submissions keep queueing while the pool is parked, and a later
         :meth:`start` serves them — ``stop``/``start`` is pause/resume,
-        not teardown.  With ``wait=False`` the worker threads keep
+        not teardown.  A final shutdown instead returns promptly: each
+        running job's worker subprocess is SIGKILLed with its process
+        group and the job filed CANCELLED (its checkpoints resume it in a
+        later service life over the same checkpoint root), and jobs still
+        queued stay PENDING.  With ``wait=False`` the worker threads keep
         winding down in the background; :attr:`running` stays True until
         they actually exit (the thread list is only pruned once joined),
         and a premature :meth:`start` joins them before spawning the next
@@ -304,7 +299,7 @@ class Scheduler:
             raise
 
     def _worker(self) -> None:
-        while True:
+        while not self.queue.closed:
             job = self.queue.get(timeout=_POLL_S)
             if job is None:
                 if self._stop.is_set():
@@ -345,29 +340,11 @@ class Scheduler:
         job.transition(JobState.RUNNING, resumed=has_checkpoints)
         started = self._clock()
         try:
-            if self.worker_model == "process":
-                result = self._run_in_process(job, ckpt_dir)
-            else:
-                recorder = ProgressRecorder(
-                    job,
-                    self.on_progress,
-                    on_fault=self._note_job_fault,
-                    deadline=(
-                        None
-                        if self.job_deadline_s is None
-                        else time.monotonic() + self.job_deadline_s
-                    ),
-                )
-                job.metrics = recorder
-                result = run_job(
-                    job.spec,
-                    checkpoint_dir=ckpt_dir,
-                    checkpoint_every=self.checkpoint_every,
-                    metrics=recorder,
-                    driver_defaults=self.driver_defaults,
-                )
-        except JobCancelledError:
-            if self._file_terminal(job, JobState.CANCELLED, iteration=job.iteration):
+            result = self._run_in_process(job, ckpt_dir)
+        except JobCancelledError as exc:
+            if self._file_terminal(
+                job, JobState.CANCELLED, iteration=job.iteration, reason=str(exc)
+            ):
                 self._count("service.jobs_cancelled")
             return
         except Exception as exc:
@@ -389,7 +366,7 @@ class Scheduler:
         if self._file_terminal(job, JobState.DONE):
             self._count("service.jobs_completed")
 
-    # -- process worker model -------------------------------------------
+    # -- worker subprocess supervision ----------------------------------
     def _emit_progress(self, event: ProgressEvent) -> None:
         if self.on_progress is not None:
             self.on_progress(event)
@@ -434,19 +411,27 @@ class Scheduler:
 
         Spawns a worker subprocess per life, relays its progress stream
         onto the job, mirrors ``request_cancel`` into the shared cancel
-        flag, and turns its verdict into the same outcomes the thread
-        model produces (``JobCancelledError`` for a cooperative cancel, an
-        exception for FAILED, the loaded result container for DONE).  A
-        life that dies with no verdict — SIGKILL, segfault, OOM — is
-        respawned up to ``max_restarts`` times; ``run_job`` in the fresh
-        child resumes from the job's newest checkpoint bit-identically.
+        flag, and turns its verdict into an outcome
+        (``JobCancelledError`` for a cooperative cancel, an exception for
+        FAILED, the loaded result container for DONE, with the child's
+        counters and span totals attached as ``job.metrics``).  A life
+        that dies with no verdict — SIGKILL, segfault, OOM — is respawned
+        up to ``max_restarts`` times; ``run_job`` in the fresh child
+        resumes from the job's newest checkpoint bit-identically.
 
         The same restart budget covers the liveness watchdog: a child
         whose pipe stays silent past ``heartbeat_timeout_s`` while alive
         (hung, SIGSTOPped, wedged in native code) or that outlives
         ``job_deadline_s`` is SIGKILLed here — SIGKILL terminates even a
         stopped process — and handled exactly like a crash, except the
-        event says ``WORKER_HUNG`` and the counter ``workers_hung``.
+        event says ``WORKER_HUNG`` and the counter ``workers_hung``.  A
+        final shutdown (the queue closed) kills the child the same way and
+        raises ``JobCancelledError`` instead of respawning.
+
+        The child is not daemonic — the supervisor joins every life itself
+        — so a job may run a ``backend="process"`` driver, whose pool the
+        child forks into the process group it leads; every kill here takes
+        the whole group down.
         """
         # Build the (process-wide, read-only) system matrix in the parent
         # first: forked children inherit it copy-on-write instead of each
@@ -468,7 +453,7 @@ class Scheduler:
             # A previous life may have finished but lost its pipe: its
             # persisted verdict stands in for the send.
             verdict = self._consume_verdict(ckpt_dir)
-            hung_reason = None
+            kill_reason = None
             exitcode = None
             if verdict is None:
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -487,7 +472,6 @@ class Scheduler:
                         hb_interval,
                     ),
                     name=f"recon-job-{job.job_id}",
-                    daemon=True,
                 )
                 proc.start()
                 child_conn.close()  # parent keeps only the receiving end
@@ -497,8 +481,10 @@ class Scheduler:
                         # Liveness checks come first so a chatty child (its
                         # pipe never idle) still gets deadline-checked.
                         now = time.monotonic()
-                        if deadline is not None and now >= deadline:
-                            hung_reason = "deadline"
+                        if self.queue.closed:
+                            kill_reason = "shutdown"
+                        elif deadline is not None and now >= deadline:
+                            kill_reason = "deadline"
                         elif (
                             hb_timeout is not None
                             and now - last_seen >= hb_timeout
@@ -507,9 +493,9 @@ class Scheduler:
                             # Alive but silent past the timeout: hung.  (A
                             # dead child goes the EOF/no-verdict crash path
                             # below instead.)
-                            hung_reason = "heartbeat_timeout"
-                        if hung_reason is not None:
-                            proc.kill()
+                            kill_reason = "heartbeat_timeout"
+                        if kill_reason is not None:
+                            _kill_worker(proc)
                             break
                         if job.cancel_requested and not cancel_event.is_set():
                             cancel_event.set()
@@ -537,7 +523,12 @@ class Scheduler:
                     parent_conn.close()
                 proc.join()
                 exitcode = proc.exitcode
-                if verdict is None and hung_reason is None:
+                if kill_reason == "shutdown":
+                    raise JobCancelledError(
+                        "service closed while the job ran; its checkpoints "
+                        "resume it in the next service life"
+                    )
+                if verdict is None and kill_reason is None:
                     # The child may have finished but lost the pipe race:
                     # check for a persisted verdict before calling it a crash.
                     verdict = self._consume_verdict(ckpt_dir)
@@ -545,14 +536,7 @@ class Scheduler:
             if verdict is not None:
                 kind, payload = verdict
                 if kind == "done":
-                    if isinstance(payload, dict):
-                        # The child's counter snapshot stands in for the
-                        # thread model's per-job recorder (span trees stay
-                        # in the child; counters are what report consumers
-                        # read).
-                        job_rec = MetricsRecorder()
-                        job_rec.merge_counters(payload)
-                        job.metrics = job_rec
+                    job.metrics = JobMetrics.from_verdict(payload)
                     return load_worker_result(ckpt_dir)
                 if kind == "cancelled":
                     raise JobCancelledError(payload)
@@ -568,11 +552,11 @@ class Scheduler:
             # tallied separately — a hang was *our* kill, and operators
             # tune heartbeat_timeout_s by watching workers_hung.
             restarts += 1
-            if hung_reason is not None:
+            if kill_reason is not None:
                 self._count("service.workers_hung")
                 job.record_event(
                     "WORKER_HUNG",
-                    reason=hung_reason,
+                    reason=kill_reason,
                     exitcode=exitcode,
                     restarts=restarts,
                 )
@@ -582,7 +566,7 @@ class Scheduler:
                     "WORKER_CRASHED", exitcode=exitcode, restarts=restarts
                 )
             if restarts > self.max_restarts:
-                if hung_reason == "deadline":
+                if kill_reason == "deadline":
                     raise JobDeadlineError(
                         f"job exceeded its {self.job_deadline_s:g}s deadline; "
                         f"worker killed {restarts} times; giving up after "
@@ -591,6 +575,6 @@ class Scheduler:
                 raise RuntimeError(
                     f"worker process died {restarts} times without a verdict "
                     f"(last exitcode {exitcode}"
-                    + (f", last kill: {hung_reason}" if hung_reason else "")
+                    + (f", last kill: {kill_reason}" if kill_reason else "")
                     + f"); giving up after max_restarts={self.max_restarts}"
                 )

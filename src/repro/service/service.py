@@ -59,24 +59,21 @@ class ReconstructionService:
     Parameters
     ----------
     n_workers:
-        Concurrently running jobs.
-    worker_model:
-        ``"thread"`` (default) or ``"process"`` — see
-        :class:`~repro.service.scheduler.Scheduler`.  Process workers let
-        CPU-bound jobs scale with cores instead of serialising on the
-        GIL, and a SIGKILL'd worker subprocess resumes its job from
-        checkpoints without the service going down.
+        Concurrently running jobs.  Each runs in a worker subprocess
+        supervised by the :class:`~repro.service.scheduler.Scheduler`, so
+        CPU-bound jobs scale with cores, and a SIGKILL'd worker resumes
+        its job from checkpoints without the service going down.
     max_restarts:
-        Process model only: crashed-worker respawns per job before FAILED.
+        Crashed-worker respawns per job before FAILED.
     heartbeat_timeout_s:
-        Process model only: SIGKILL a worker subprocess whose pipe stays
-        silent this long while alive (hung, SIGSTOPped) and resume its
-        job from checkpoints — see
-        :class:`~repro.service.scheduler.Scheduler`.  ``None`` disables.
+        SIGKILL a worker subprocess whose pipe stays silent this long
+        while alive (hung, SIGSTOPped) and resume its job from
+        checkpoints — see :class:`~repro.service.scheduler.Scheduler`.
+        ``None`` disables.
     job_deadline_s:
         Wall-clock budget per job across worker lives; over-deadline
-        process workers are killed, thread workers stop cooperatively
-        with :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
+        workers are killed and the job fails with
+        :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
         disables.
     job_ttl_s:
         TTL for *terminal* jobs in the registry: once a job has been DONE
@@ -111,7 +108,6 @@ class ReconstructionService:
         self,
         *,
         n_workers: int = 2,
-        worker_model: str = "thread",
         max_restarts: int = 2,
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
@@ -150,7 +146,6 @@ class ReconstructionService:
             self.cache,
             checkpoint_root=self.checkpoint_root,
             n_workers=n_workers,
-            worker_model=worker_model,
             max_restarts=max_restarts,
             heartbeat_timeout_s=heartbeat_timeout_s,
             job_deadline_s=job_deadline_s,
@@ -184,7 +179,13 @@ class ReconstructionService:
         self.reaper.start()
 
     def close(self) -> None:
-        """Stop the workers, close the queue, release the temp checkpoint root."""
+        """Stop the workers, close the queue, release the temp checkpoint root.
+
+        Returns promptly: a running job's worker subprocess is killed and
+        the job filed CANCELLED (checkpoints under a caller-given
+        ``checkpoint_root`` resume it in the next service life); queued
+        jobs stay PENDING.
+        """
         if self._closed:
             return
         self._closed = True

@@ -1,17 +1,15 @@
-"""Process-backed job execution: the child side of ``worker_model="process"``.
+"""Job execution in a worker subprocess: the child side of the scheduler.
 
-Thread workers (the default) serialise on the GIL whenever a job's hot loop
-is NumPy-light — which is exactly what the per-voxel ICD sweep is — so a
-scheduler configured with ``worker_model="process"`` runs each
-:func:`~repro.service.runner.run_job` in a worker *subprocess* instead.
-This module is that subprocess: :func:`process_worker_main` is the
-``multiprocessing.Process`` target, and the protocol back to the scheduler
-is deliberately tiny:
+Every service job runs :func:`~repro.service.runner.run_job` in a worker
+*subprocess* that a scheduler thread supervises, so concurrent jobs never
+serialise on one interpreter's GIL and a crashed or hung job can be killed
+and resumed without the service going down.  This module is that
+subprocess: :func:`process_worker_main` is the ``multiprocessing.Process``
+target, and the protocol back to the scheduler is deliberately tiny:
 
 * **progress** flows child → parent over a one-way pipe as small tuples
   (``("iteration", i, dur)`` / ``("checkpoint", i, dur)``), re-emitted by
-  the parent as the same :class:`~repro.service.progress.ProgressEvent`
-  stream thread workers produce;
+  the parent as :class:`~repro.service.progress.ProgressEvent` s;
 * **liveness** is a periodic ``("heartbeat", ts)`` tuple from a daemon
   thread, sent even while an iteration grinds — the parent's supervisor
   treats a quiet pipe (no message of *any* kind within
@@ -22,16 +20,18 @@ is deliberately tiny:
   degradation transitions (``CHECKPOINT_DEGRADED`` / ``_RECOVERED``) the
   parent mirrors onto the job's event log;
 * **cancel** flows parent → child through a shared
-  ``multiprocessing.Event`` checked at every iteration boundary (the same
-  cooperative point the thread model uses), raising
+  ``multiprocessing.Event`` checked at every iteration boundary, raising
   :class:`~repro.service.jobs.JobCancelledError` out of the driver loop;
 * **the result** never crosses the pipe: the child persists it with the
   repo's npz reconstruction container (``result-worker.npz`` next to the
   job's ``checkpoints/`` dir, atomic write) and sends a one-line verdict;
   the parent loads the container back.  Volumes can be large; verdicts
-  are not.  A result write that keeps failing after retries is the one
-  disk fault that is terminal: the verdict is a ``ResultPersistError``
-  failure with the errno;
+  are not.  A ``"done"`` verdict carries the job's metrics as a plain dict
+  — its counters and its span totals by name — which the parent exposes
+  as ``job.metrics`` (:class:`~repro.service.progress.JobMetrics`).  A
+  result write that keeps failing after retries is the one disk fault
+  that is terminal: the verdict is a ``ResultPersistError`` failure with
+  the errno;
 * **crashes need no protocol at all**: a SIGKILL'd child simply never
   sends a verdict.  The parent notices the dead process and respawns it —
   ``run_job`` resumes from the job's newest checkpoint bit-identically,
@@ -47,7 +47,9 @@ is deliberately tiny:
 
 Children are forked where the platform allows it, so the parent's
 process-wide system-matrix cache (and any warmed-up JIT state) is
-inherited copy-on-write instead of being rebuilt per job.
+inherited copy-on-write instead of being rebuilt per job.  Each child
+leads its own process group, so the supervisor's kill also reaches any
+pool a ``backend="process"`` driver forks inside the job.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def load_worker_result(checkpoint_dir: str | Path) -> CachedResult:
 class _RelayRecorder(MetricsRecorder):
     """Child-side recorder: pipes progress out, honours the cancel flag.
 
-    The process-model twin of :class:`~repro.service.progress.ProgressRecorder`:
-    the drivers' ``iteration`` / ``checkpoint_save`` span closes become pipe
-    messages instead of direct ``Job`` mutations (the ``Job`` object lives in
-    the parent), and the cancel check reads the shared event the parent sets
-    when ``request_cancel`` arrives.
+    The drivers' ``iteration`` / ``checkpoint_save`` span closes become pipe
+    messages (the ``Job`` object lives in the parent), and the cancel check
+    at each iteration boundary reads the shared event the parent sets when
+    ``request_cancel`` arrives — cooperative cancellation with zero driver
+    changes.
 
     Sends are serialised through a lock — the heartbeat thread and the
     driver loop share the pipe, and ``Connection.send`` is not thread-safe.
@@ -264,14 +266,15 @@ def process_worker_main(
     """Run one job in this worker process and report a verdict.
 
     The last message on ``conn`` is the verdict tuple —
-    ``("done", counters)``, ``("cancelled", detail)``, or
-    ``("failed", error)`` — after any number of progress/heartbeat/fault
-    tuples.  A crash (SIGKILL, segfault, OOM kill) sends nothing; the
+    ``("done", {"counters": ..., "span_totals": ...})``,
+    ``("cancelled", detail)``, or ``("failed", error)`` — after any number
+    of progress/heartbeat/fault tuples.  A crash (SIGKILL, segfault, OOM kill) sends nothing; the
     parent treats pipe EOF without a verdict (and without a persisted
     ``verdict.json``) as "respawn and resume from checkpoints".
     """
     from repro.service.runner import run_job  # deferred: keep fork startup lean
 
+    os.setpgid(0, 0)  # lead a group: the supervisor's kill reaches our pool too
     recorder = _RelayRecorder(conn, cancel_event)
     hb_stop = threading.Event()
     hb_thread = None
@@ -323,7 +326,11 @@ def process_worker_main(
                 f"result save failed: {type(exc).__name__}: {exc}",
             )
             return
-        _deliver_verdict(recorder, checkpoint_dir, "done", dict(recorder.counters))
+        metrics = {
+            "counters": dict(recorder.counters),
+            "span_totals": recorder.span_totals(),
+        }
+        _deliver_verdict(recorder, checkpoint_dir, "done", metrics)
     finally:
         hb_stop.set()
         if hb_thread is not None:

@@ -254,6 +254,21 @@ class TestHttpCommands:
             build_parser().parse_args(["serve-http"])
         assert exc_info.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [
+        ["serve", "q"], ["serve-http", "--scan-root", "/data"],
+    ])
+    def test_worker_model_accepts_only_process(self, command, capsys):
+        """``--worker-model process`` keeps parsing; the deleted thread
+        model is a usage error, as is the chaos flag that chose models."""
+        args = build_parser().parse_args([*command, "--worker-model", "process"])
+        assert args.worker_model == "process"
+        for argv in ([*command, "--worker-model", "thread"],
+                     ["chaos", "--worker-model", "process"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == EXIT_USAGE
+        capsys.readouterr()
+
     def test_parser_accepts_loadtest_flags(self):
         args = build_parser().parse_args([
             "loadtest", "http://127.0.0.1:9", "--mode", "open",

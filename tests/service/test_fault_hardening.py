@@ -5,7 +5,7 @@ Three fault domains, each with its own recovery contract:
 * **liveness** — a worker subprocess that goes *silent* (SIGSTOP, wedged)
   is detected within ``heartbeat_timeout_s``, SIGKILLed, and its job
   resumes from the newest checkpoint bit-identically; a job that outlives
-  ``job_deadline_s`` fails typed, in both worker models;
+  ``job_deadline_s`` is killed and fails typed;
 * **disk faults** — checkpoint writes degrade (retry, suppress, re-probe,
   recover) instead of failing an otherwise-healthy job; only the *result*
   write is terminal, and it fails typed with the errno;
@@ -284,10 +284,7 @@ class TestDegradingCheckpointManager:
 # Service-level disk-fault degradation (the ENOSPC acceptance drill)
 # ----------------------------------------------------------------------
 class TestServiceCheckpointDegradation:
-    @pytest.mark.parametrize("worker_model", ["thread", "process"])
-    def test_enospc_mid_job_degrades_then_recovers(
-        self, tmp_path, scan16, worker_model
-    ):
+    def test_enospc_mid_job_degrades_then_recovers(self, tmp_path, scan16):
         """ENOSPC on the checkpoint dir mid-job: the job still completes
         (bit-identically), the degradation is observable, and checkpointing
         resumes once the fault clears."""
@@ -299,9 +296,7 @@ class TestServiceCheckpointDegradation:
         # however the worker and this process are scheduled.
         arm_disk_fault(ckpt_dir, failures=CHECKPOINT_RETRY_POLICY.attempts)
 
-        with ReconstructionService(
-            n_workers=1, worker_model=worker_model, checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, equits=3.0, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -348,11 +343,7 @@ class TestHeartbeatSupervision:
         and the job resumes from its newest checkpoint bit-identically."""
         import signal
 
-        with ReconstructionService(
-            n_workers=1,
-            worker_model="process",
-            heartbeat_timeout_s=1.0,
-        ) as svc:
+        with ReconstructionService(n_workers=1, heartbeat_timeout_s=1.0) as svc:
             job_id = svc.submit(
                 icd_spec(
                     scan16,
@@ -378,9 +369,7 @@ class TestHeartbeatSupervision:
 
     def test_healthy_worker_under_supervision_is_not_killed(self, scan16):
         """No false positives: a normally-beating worker finishes clean."""
-        with ReconstructionService(
-            n_workers=1, worker_model="process", heartbeat_timeout_s=0.5
-        ) as svc:
+        with ReconstructionService(n_workers=1, heartbeat_timeout_s=0.5) as svc:
             job_id = svc.submit(icd_spec(scan16, equits=2.0))
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -397,21 +386,9 @@ class TestHeartbeatSupervision:
 
 
 class TestJobDeadline:
-    def test_thread_job_over_deadline_fails_typed(self, scan16):
-        with ReconstructionService(
-            n_workers=1, worker_model="thread", job_deadline_s=0.05
-        ) as svc:
-            job_id = svc.submit(icd_spec(scan16, equits=500.0))
-            with pytest.raises(JobFailedError, match="deadline"):
-                svc.result(job_id, timeout=120)
-            job = svc.job(job_id)
-        assert job.state is JobState.FAILED
-        assert "deadline" in job.error
-
     def test_process_job_over_deadline_is_killed_and_fails(self, scan16):
         with ReconstructionService(
             n_workers=1,
-            worker_model="process",
             job_deadline_s=0.3,
             max_restarts=0,
         ) as svc:
@@ -427,7 +404,7 @@ class TestJobDeadline:
 
 
 # ----------------------------------------------------------------------
-# Terminal result-persist faults (process model)
+# Terminal result-persist faults
 # ----------------------------------------------------------------------
 class TestResultPersistFault:
     def test_unwritable_result_dir_fails_typed(self, tmp_path, scan16):
@@ -438,9 +415,7 @@ class TestResultPersistFault:
         # The sentinel lives in the job dir (the result container's home),
         # NOT the checkpoints/ subdir — checkpointing stays healthy.
         arm_disk_fault(ckpt_root / job_id)
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, job_id=job_id))
             with pytest.raises(JobFailedError, match="ResultPersistError"):
                 svc.result(job_id, timeout=120)
@@ -457,9 +432,7 @@ class TestResultPersistFault:
 # ----------------------------------------------------------------------
 class TestVerdictFile:
     def _scheduler(self, tmp_path):
-        svc = ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=tmp_path, start=False
-        )
+        svc = ReconstructionService(n_workers=1, checkpoint_root=tmp_path, start=False)
         return svc, svc.scheduler
 
     def test_consume_round_trip_deletes_and_counts(self, tmp_path):
@@ -498,9 +471,7 @@ class TestVerdictFile:
         worker_verdict_path(job_dir / "checkpoints").write_text(
             json.dumps({"kind": "done", "payload": {}})
         )
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -529,7 +500,6 @@ class TestCorruptCheckpointResume:
         # fails, leaving checkpoints for iterations 1 and 2 behind.
         with ReconstructionService(
             n_workers=1,
-            worker_model="process",
             max_restarts=0,
             checkpoint_root=ckpt_root,
         ) as svc:
@@ -547,9 +517,7 @@ class TestCorruptCheckpointResume:
         FaultInjector.truncate_file(snapshots[-1])
 
         # Life 2: fresh service, same checkpoint root, clean resubmission.
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, equits=4.0, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)

@@ -1,16 +1,20 @@
-"""SIGKILL a serving worker mid-job; a rerun resumes and matches bit-for-bit.
+"""SIGKILL a whole serving session mid-job; a rerun resumes bit-for-bit.
 
 The service-level crash drill (the driver-level one lives in
-``tests/integration/test_resilience_kill.py``): a child process serves a
-queue directory whose single job carries the ``kill_at_iteration`` fault
-hook, so the whole server dies by SIGKILL after iteration 2 — after that
-iteration's checkpoint cadence point, leaving iteration 1's snapshot on
-disk.  A second server over the *same* queue directory recovers the
-non-terminal job, resumes it from the surviving checkpoint (the fault is
-not re-armed on a resumed life), and completes it.  The result must equal,
-exactly, a reference run in a separate queue directory that was never
-killed — separate so the shared-directory result cache cannot leak the
-reference volume into the resumed run.
+``tests/integration/test_resilience_kill.py``): a child process, started
+in a session of its own, serves a queue directory whose single job carries
+the ``kill_at_iteration`` fault hook.  The hook fires in the job's worker
+subprocess inside iteration 2's sentinel check — before that iteration's
+snapshot, leaving iteration 1's on disk — and sends ``SIGUSR1``, which the
+child script (test-only) turns into SIGKILL for the whole session: the
+server dies at that exact point, as in a host crash, instead of its
+supervisor resuming the worker in the same life.  A second server over the
+*same* queue directory recovers the non-terminal job, resumes it from the
+surviving checkpoint (the fault is not re-armed on a resumed life), and
+completes it.  The result must equal, exactly, a reference run in a
+separate queue directory that was never killed — separate so the
+shared-directory result cache cannot leak the reference volume into the
+resumed run.
 
 CI runs this file under its "service" job with a pytest timeout.
 """
@@ -32,11 +36,26 @@ from repro.service import DirectoryService, write_job_spec
 
 KILL_AFTER = 2
 PARAMS = {"max_equits": 6.0, "seed": 7, "track_cost": False}
+#: The fault hook's signal; the session-killing handler below catches it.
+FAULT = {"kill_at_iteration": KILL_AFTER, "signal": "SIGUSR1"}
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 _ENV = {"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"}
 
-_CHILD = """\
+#: Test-only prologue: the worker subprocess inherits this handler, so the
+#: fault hook's SIGUSR1 SIGKILLs the serving session (the server's process
+#: group), then the worker itself, which leads a group of its own.
+_CRASH_SESSION = """\
+import os, signal
+
+def _crash_session(signum, frame):
+    os.killpg(os.getsid(0), signal.SIGKILL)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+signal.signal(signal.SIGUSR1, _crash_session)
+"""
+
+_CHILD = _CRASH_SESSION + """\
 import sys
 from repro.service import DirectoryService
 service = DirectoryService(sys.argv[1], n_workers=1)
@@ -44,6 +63,13 @@ service.run(drain=True, max_seconds=240)
 service.close()
 print("UNREACHABLE: serve loop drained without being killed")
 sys.exit(3)
+"""
+
+#: ``python -m repro`` behind the same prologue.
+_CLI = _CRASH_SESSION + """\
+import runpy, sys
+sys.argv[0] = "repro"
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
 
 
@@ -60,12 +86,13 @@ def queue_dirs(tmp_path, scan16):
 def test_killed_worker_resumes_bit_identical(queue_dirs):
     killed, reference = queue_dirs
     write_job_spec(killed, "drill", driver="icd", scan_path="scan.npz",
-                   params=PARAMS, fault={"kill_at_iteration": KILL_AFTER})
+                   params=PARAMS, fault=FAULT)
 
     # First life: the server dies by SIGKILL mid-job (no cleanup runs).
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(killed)],
         env=_ENV, capture_output=True, text=True, timeout=300,
+        start_new_session=True,
     )
     assert proc.returncode == -signal.SIGKILL, (
         f"child exited {proc.returncode}; stdout={proc.stdout!r} "
@@ -125,19 +152,20 @@ def test_kill_drill_through_module_cli(queue_dirs):
     # fault flag on purpose; it is a test-only hook)
     spec_path = killed / "incoming" / "cli-drill.json"
     doc = json.loads(spec_path.read_text())
-    doc["fault"] = {"kill_at_iteration": KILL_AFTER}
+    doc["fault"] = FAULT
     spec_path.write_text(json.dumps(doc))
 
-    serve = [sys.executable, "-m", "repro", "serve", str(killed),
-             "--workers", "1", "--drain", "--max-seconds", "240"]
-    first = subprocess.run(serve, env=_ENV, capture_output=True, text=True,
-                           timeout=300)
+    args = ["serve", str(killed), "--workers", "1", "--drain",
+            "--max-seconds", "240"]
+    first = subprocess.run([sys.executable, "-c", _CLI, *args], env=_ENV,
+                           capture_output=True, text=True, timeout=300,
+                           start_new_session=True)
     assert first.returncode == -signal.SIGKILL, (
         f"exit {first.returncode}: {first.stderr!r}"
     )
 
-    second = subprocess.run(serve, env=_ENV, capture_output=True, text=True,
-                            timeout=300)
+    second = subprocess.run([sys.executable, "-m", "repro", *args], env=_ENV,
+                            capture_output=True, text=True, timeout=300)
     assert second.returncode == 0, second.stderr
     assert "drained" in second.stdout
 

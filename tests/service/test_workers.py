@@ -1,37 +1,39 @@
-"""Process worker model + scheduler lifecycle/race regressions (PR 8).
+"""Worker subprocesses + scheduler lifecycle/race regressions.
 
-The tentpole acceptance paths:
+The acceptance paths:
 
-* a ``worker_model="process"`` service runs jobs in worker subprocesses
-  and produces bit-identical volumes to the thread model (same ``run_job``
-  path either way), with the same ProgressEvent stream and cooperative
-  cancel semantics relayed over the pipe / shared flag;
+* the service runs every job in a supervised worker subprocess and
+  produces volumes bit-identical to an in-process ``run_job`` of the same
+  spec, with the ProgressEvent stream and cooperative cancel semantics
+  relayed over the pipe / shared flag;
 * a SIGKILL'd worker *subprocess* (the ``kill_at_iteration`` fault) is
   respawned and its job resumes from checkpoints bit-identically — the
   service never goes down;
-* the scheduler regressions this PR fixes stay fixed: ``stop(wait=False)``
-  no longer forgets live workers, ``stop``/``start`` is pause/resume
-  against a still-open queue, and a terminal-filing race with a concurrent
-  cancel no longer kills the worker with a ``JobStateError``.
+* a final ``close()`` with a job running returns promptly and leaves no
+  worker process — nor any pool process the job's driver forked — alive;
+* the scheduler regressions stay fixed: ``stop(wait=False)`` no longer
+  forgets live workers, ``stop``/``start`` is pause/resume against a
+  still-open queue, and a terminal-filing race with a concurrent cancel no
+  longer kills the worker with a ``JobStateError``.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.service.scheduler as scheduler_mod
 from repro.service import (
-    Job,
     JobCancelledError,
     JobSpec,
     JobState,
     ReconstructionService,
-    Scheduler,
 )
+from repro.service.runner import run_job
 
 
 def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, fault=None):
@@ -45,26 +47,63 @@ def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, fault=None):
     )
 
 
+def reference_image(scan, tmp_path, *, equits=1.0):
+    """The same spec reconstructed uninterrupted by ``run_job`` in this process."""
+    result = run_job(icd_spec(scan, equits=equits), checkpoint_dir=tmp_path / "ref")
+    return np.array(result.image, copy=True)
+
+
+def _children(pid: int) -> set[int]:
+    """Live (non-zombie) direct children of ``pid``, from ``/proc``."""
+    kids: set[int] = set()
+    try:
+        tasks = list(Path(f"/proc/{pid}/task").iterdir())
+    except OSError:
+        return kids
+    for task in tasks:
+        try:
+            kids.update(int(c) for c in (task / "children").read_text().split())
+        except OSError:
+            continue
+    return {k for k in kids if _alive(k)}
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_dead(pids: set[int], timeout: float) -> set[int]:
+    """Wait for SIGKILLed non-children to die; returns those still alive.
+
+    A kill is delivered asynchronously and only a parent can wait for its
+    child, so processes outside this one's children are polled.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = {pid for pid in pids if _alive(pid)}
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.01)
+
+
 # ----------------------------------------------------------------------
-# Process worker model
+# Worker subprocesses
 # ----------------------------------------------------------------------
 class TestProcessModel:
-    def test_rejects_unknown_worker_model(self, scan16):
-        with pytest.raises(ValueError, match="worker_model"):
-            ReconstructionService(n_workers=1, worker_model="goroutine", start=False)
-
-    def test_process_job_runs_to_done_bit_identical(self, scan16):
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+    def test_process_job_runs_to_done_bit_identical(self, scan16, tmp_path):
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16))
             result = svc.result(job_id, timeout=120)
             assert svc.job(job_id).state is JobState.DONE
-        with ReconstructionService(n_workers=1, worker_model="thread") as svc:
-            reference = svc.result(svc.submit(icd_spec(scan16)), timeout=120)
-        assert np.array_equal(result.image, reference.image)
+        assert np.array_equal(result.image, reference_image(scan16, tmp_path))
 
     def test_progress_events_relayed_from_child(self, scan16):
         events = []
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16, equits=2.0), on_progress=events.append)
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -77,7 +116,7 @@ class TestProcessModel:
         assert any(e.kind == "CHECKPOINTED" for e in job.events)
 
     def test_child_counters_attached_as_job_metrics(self, scan16):
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16))
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -95,7 +134,7 @@ class TestProcessModel:
             if event.kind == "iteration" and not cancelled.is_set():
                 cancelled.set()
 
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(
                 icd_spec(scan16, equits=20.0), on_progress=on_progress
             )
@@ -105,7 +144,7 @@ class TestProcessModel:
                 svc.result(job_id, timeout=120)
             assert svc.job(job_id).state is JobState.CANCELLED
 
-    def test_sigkilled_worker_process_resumes_bit_identical(self, scan16):
+    def test_sigkilled_worker_process_resumes_bit_identical(self, scan16, tmp_path):
         """The tentpole drill: SIGKILL the worker subprocess mid-job.
 
         The fault fires inside iteration 2's sentinel check, before that
@@ -114,7 +153,7 @@ class TestProcessModel:
         checkpoint — finishing bit-identically to an uninterrupted run,
         with the crash on the job's event log and the service counter.
         """
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(
                 icd_spec(scan16, equits=3.0, fault={"kill_at_iteration": 2})
             )
@@ -125,10 +164,9 @@ class TestProcessModel:
             assert crashes[0].detail["exitcode"] == -9
             assert svc.report()["counters"]["service.worker_crashes"] == 1
             assert job.state is JobState.DONE
-
-        with ReconstructionService(n_workers=1, worker_model="thread") as svc:
-            reference = svc.result(svc.submit(icd_spec(scan16, equits=3.0)), timeout=240)
-        assert np.array_equal(result.image, reference.image)
+        assert np.array_equal(
+            result.image, reference_image(scan16, tmp_path, equits=3.0)
+        )
 
     def test_repeatedly_crashing_job_fails_after_max_restarts(self, scan16, tmp_path):
         """A job that kills its worker before any checkpoint exists re-arms
@@ -136,7 +174,6 @@ class TestProcessModel:
         instead of an infinite respawn loop."""
         with ReconstructionService(
             n_workers=1,
-            worker_model="process",
             max_restarts=1,
             checkpoint_root=tmp_path,
             checkpoint_every=100,  # no checkpoint survives the kill
@@ -194,15 +231,51 @@ class TestStopStartLifecycle:
             svc.scheduler.start()
         svc.close()
 
+    def test_close_with_running_job_returns_promptly_and_leaves_no_worker(
+        self, scan16
+    ):
+        """``close()`` kills a running job's worker and the pool its
+        ``backend="process"`` driver forked, instead of waiting out a job
+        that would run for minutes; the job files CANCELLED and no child
+        of this process survives."""
+        running = threading.Event()
+        before = _children(os.getpid())
+        svc = ReconstructionService(n_workers=1)
+        try:
+            job_id = svc.submit(
+                JobSpec(
+                    driver="psv_icd",
+                    scan=scan16,
+                    params={
+                        "max_equits": 1e6,
+                        "sv_side": 6,
+                        "track_cost": False,
+                        "backend": "process",
+                        "n_workers": 2,
+                    },
+                ),
+                on_progress=lambda e: running.set(),
+            )
+            assert running.wait(timeout=120)
+            workers = _children(os.getpid()) - before
+            pool = set().union(*(_children(w) for w in workers))
+            assert workers and pool  # a worker, and the pool it forked
+        finally:
+            started = time.monotonic()
+            svc.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 30.0
+        assert _children(os.getpid()) <= before
+        assert not _wait_dead(workers | pool, timeout=30.0)
+        job = svc.job(job_id)
+        assert job.state is JobState.CANCELLED
+        assert "service closed" in job.events[-1].detail["reason"]
+
 
 # ----------------------------------------------------------------------
 # Terminal-filing races
 # ----------------------------------------------------------------------
 class TestTerminalRaces:
-    def _service_with_patched_run(self, monkeypatch, run_job_stub):
-        monkeypatch.setattr(scheduler_mod, "run_job", run_job_stub)
-        return ReconstructionService(n_workers=1, start=False)
-
     def test_failure_racing_concurrent_cancel_does_not_kill_worker(
         self, scan16, monkeypatch
     ):
@@ -216,15 +289,15 @@ class TestTerminalRaces:
             job_id = svc.submit(icd_spec(scan16))
             job = svc.job(job_id)
 
-            def run_job_raced(spec, **kwargs):
+            def run_raced(job, ckpt_dir):
                 # Deterministically reproduce the race: another party files
-                # the job terminal while the driver is "running", then the
-                # driver errors out.
+                # the job terminal while its worker is "running", then the
+                # worker's verdict is a failure.
                 job._cancel.set()
                 job.transition(JobState.CANCELLED)
                 raise RuntimeError("induced failure after concurrent cancel")
 
-            monkeypatch.setattr(scheduler_mod, "run_job", run_job_raced)
+            monkeypatch.setattr(svc.scheduler, "_run_in_process", run_raced)
             svc.scheduler._execute(job)  # pre-fix: raises JobStateError
             assert job.state is JobState.CANCELLED
             counters = svc.report()["counters"]
@@ -238,17 +311,18 @@ class TestTerminalRaces:
     ):
         """End-to-end: the racing job must not take the worker thread down
         with it — the next submission still gets served."""
-        real_run_job = scheduler_mod.run_job
         raced = threading.Event()
+        with ReconstructionService(n_workers=1, start=False) as svc:
+            real_run = svc.scheduler._run_in_process
 
-        def run_job_first_races(spec, **kwargs):
-            if not raced.is_set():
-                raced.set()
-                raise RuntimeError("induced failure")
-            return real_run_job(spec, **kwargs)
+            def run_first_races(job, ckpt_dir):
+                if not raced.is_set():
+                    raced.set()
+                    raise RuntimeError("induced failure")
+                return real_run(job, ckpt_dir)
 
-        monkeypatch.setattr(scheduler_mod, "run_job", run_job_first_races)
-        with ReconstructionService(n_workers=1) as svc:
+            monkeypatch.setattr(svc.scheduler, "_run_in_process", run_first_races)
+            svc.start()
             bad = svc.submit(icd_spec(scan16, seed=1))
             assert svc.job(bad).wait(timeout=120)
             good = svc.submit(icd_spec(scan16, seed=2))
